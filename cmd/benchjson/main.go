@@ -4,7 +4,7 @@
 // from stdin) into a JSON benchmark baseline (written to stdout), the
 // format the CI perf-tracking step records as BENCH_<pr>.json:
 //
-//	go test -run '^$' -bench 'Sweep' . | benchjson -label pr3 > BENCH_pr3.json
+//	go test -run '^$' -bench 'Sweep' . | benchjson -label pr10 > BENCH_pr10.json
 //
 // Each benchmark line
 //
@@ -17,7 +17,7 @@
 // Compare mode diffs a freshly measured run against a committed
 // baseline and fails on regressions — CI's perf gate:
 //
-//	go test -run '^$' -bench '...' . | benchjson -compare BENCH_pr4.json -threshold 25
+//	go test -run '^$' -bench '...' . | benchjson -compare BENCH_pr10.json -threshold 25
 //
 // Benchmarks are matched by name with the trailing GOMAXPROCS suffix
 // ("-8") stripped, so baselines recorded on machines with different
@@ -32,7 +32,7 @@
 // flag makes the gate machine-speed independent by electing one
 // benchmark of the run as the in-run speed reference:
 //
-//	... | benchjson -compare BENCH_pr4.json -threshold 25 -normalize BenchmarkFMM
+//	... | benchjson -compare BENCH_pr10.json -threshold 25 -normalize BenchmarkFMM
 //
 // Every benchmark's ns/op is divided by the reference's ns/op OF THE
 // SAME RUN, and the threshold applies to the ratio's change instead of

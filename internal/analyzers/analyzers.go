@@ -21,7 +21,7 @@
 //     to be exhaustive or to carry a panicking default.
 //   - refpurity keeps the retained reference implementations
 //     (lp.NewReferenceSimplex's dense loops, absint's map-based domain,
-//     dist.ConvolveAllExact) from calling into the optimized paths they
+//     dist.ConvolveAllExactWith) from calling into the optimized paths they
 //     exist to validate.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis

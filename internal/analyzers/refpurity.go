@@ -20,7 +20,7 @@ type RefPurityRule struct {
 
 // DefaultRefPurityRules pin the repo's reference/optimized pairs:
 //
-//   - dist.ConvolveAllExact[With] (the no-sharing, no-in-tree-coarsening
+//   - dist.ConvolveAllExactWith (the no-sharing, no-in-tree-coarsening
 //     reduction) must not call the monoid-optimized ConvolveAll[With] or
 //     its executor convolveAllOpt;
 //   - lp's dense reference loops (referenceIterate, referencePivot)
@@ -37,7 +37,7 @@ type RefPurityRule struct {
 var DefaultRefPurityRules = []RefPurityRule{
 	{
 		PkgPath:   "repro/internal/dist",
-		Root:      regexp.MustCompile(`^ConvolveAllExact(With|CancelWith)?$`),
+		Root:      regexp.MustCompile(`^ConvolveAllExact(CancelWith|With)$`),
 		Forbidden: regexp.MustCompile(`^(ConvolveAll|ConvolveAllWith|ConvolveAllCancelWith|convolveAllOpt|convolveAllOptCancel)$`),
 	},
 	{

@@ -281,8 +281,8 @@ type Engine struct {
 	panicVal atomic.Pointer[PanicError]
 
 	mu      sync.Mutex
-	classes map[classKey]*classEntry
-	ctxs    map[ctxKey]*ctxEntry
+	classes map[classKey]*cell[*classEntry]
+	ctxs    map[ctxKey]*cell[*ctxEntry]
 
 	// Artifact-memory accounting (see memory.go), guarded by mu.
 	lruHead, lruTail *memoNode
@@ -293,6 +293,138 @@ type Engine struct {
 	evictedBytes     int64
 }
 
+// cell is the memo slot of one artifact, the single memoization
+// mechanism of the engine: its value is filled exactly once and is
+// read-only afterwards. node is the artifact's LRU/accounting handle; a
+// failed fill is never charged, so its node never enters the LRU.
+type cell[V any] struct {
+	once sync.Once
+	node *memoNode
+	val  V
+	err  error
+}
+
+// fill computes the cell's value exactly once. A successful fill
+// charges the computed byte cost to n (the cell's own node, or the
+// node of the artifact whose lifetime it shares) and emits ev; a failed
+// one charges and emits nothing.
+func (c *cell[V]) fill(e *Engine, n *memoNode, ev ArtifactEvent, compute func() (V, int64, error)) error {
+	c.once.Do(func() {
+		var cost int64
+		c.val, cost, c.err = compute()
+		if c.err != nil {
+			return
+		}
+		e.mu.Lock()
+		e.chargeLocked(n, cost)
+		e.mu.Unlock()
+		e.emit(ev)
+	})
+	return c.err
+}
+
+// slot is where an owner keeps one artifact's cell: an engine map entry
+// or a field of a context. load and store run with Engine.mu held;
+// storing nil removes the cell. release, when set, runs after an
+// evicted cell is removed and lets go of what its value holds.
+type slot[V any] struct {
+	load    func() *cell[V]
+	store   func(*cell[V])
+	release func(V)
+}
+
+func mapSlot[K comparable, V any](m map[K]*cell[V], k K) slot[V] {
+	return slot[V]{
+		load: func() *cell[V] { return m[k] },
+		store: func(c *cell[V]) {
+			if c == nil {
+				delete(m, k)
+			} else {
+				m[k] = c
+			}
+		},
+	}
+}
+
+func fieldSlot[V any](p **cell[V]) slot[V] {
+	return slot[V]{
+		load:  func() *cell[V] { return *p },
+		store: func(c *cell[V]) { *p = c },
+	}
+}
+
+// pinKind is the pin a memo lookup takes on the cell for its caller.
+type pinKind int
+
+const (
+	// noPin: FMM columns and hit bounds, read by a query that already
+	// pins their context.
+	noPin pinKind = iota
+	// queryPin: a WCET context, held by the query until releaseCtx.
+	queryPin
+	// depPin: a classification, held by the context that references it
+	// until that context is evicted or fails.
+	depPin
+)
+
+// memo is the find/fill/retry path of every memoized artifact. Genuine
+// errors are properties of the key and stay sticky; a cancellation
+// error is a property of the context of whichever query filled the
+// cell, so the cell is removed from its owner and a caller whose own
+// context is still live retries against a fresh cell. On success the
+// returned cell carries the lookup's pin; on error no pin is held.
+func memo[V any](e *Engine, qctx context.Context, at slot[V], pin pinKind, ev ArtifactEvent, compute func() (V, int64, error)) (*cell[V], error) {
+	for {
+		c, err := memoOnce(e, at, pin, ev, compute)
+		if err == nil || !isCancelErr(err) || qctx.Err() != nil {
+			return c, err
+		}
+	}
+}
+
+func memoOnce[V any](e *Engine, at slot[V], pin pinKind, ev ArtifactEvent, compute func() (V, int64, error)) (c *cell[V], err error) {
+	e.mu.Lock()
+	c = at.load()
+	if c == nil {
+		c = &cell[V]{}
+		c.node = &memoNode{drop: func(e *Engine) {
+			if at.load() == c {
+				at.store(nil)
+			}
+			if at.release != nil && c.err == nil {
+				at.release(c.val)
+			}
+		}}
+		at.store(c)
+		e.misses++
+	} else {
+		e.hits++
+		e.touchLocked(c.node)
+	}
+	c.node.pin(pin, 1)
+	e.mu.Unlock()
+	// An error or a panic inside the fill (recovered into engine
+	// poisoning by analyzeOnce) hands the caller no artifact to hold, so
+	// the lookup's pin is dropped here, and a canceled cell leaves its
+	// owner so the next lookup creates a fresh one.
+	ok := false
+	defer func() {
+		if ok {
+			return
+		}
+		e.mu.Lock()
+		if isCancelErr(err) {
+			c.node.drop(e)
+		}
+		c.node.pin(pin, -1)
+		e.evictLocked()
+		e.mu.Unlock()
+	}()
+	err = c.fill(e, c.node, ev, compute)
+	ok = err == nil
+	return c, err
+}
+
 // classKey identifies one classification artifact: a cache geometry
 // applied to one of the program's two reference streams.
 type classKey struct {
@@ -300,15 +432,14 @@ type classKey struct {
 	data bool
 }
 
-// classEntry memoizes the analyzer and classification of one classKey.
+// classEntry is the value of one classification cell: the analyzer and
+// its classification, plus the lazily computed SRB guaranteed-hit
+// vector, whose bytes are charged to the classification's node (it
+// shares that artifact's lifetime and key).
 type classEntry struct {
-	node *memoNode
-	once sync.Once
 	a    *absint.Analyzer
 	base []chmc.Class
-
-	srbOnce sync.Once
-	srbHit  []bool
+	srb  cell[[]bool]
 }
 
 // ctxKey identifies one WCET context: the instruction cache plus the
@@ -320,37 +451,20 @@ type ctxKey struct {
 	hasData bool
 }
 
-// ctxEntry memoizes one context's warm system, WCET and FMM artifacts.
-// The fmms map and fmmList are guarded by Engine.mu; fmmList mirrors the
-// map as a slice so evicting a whole context can settle its FMM nodes
-// without a map iteration.
+// ctxEntry is the value of one context cell: the warm system, the WCET
+// and the context's own FMM and hit-bound cells. The fmms and hb slots
+// are guarded by Engine.mu.
 type ctxEntry struct {
-	node *memoNode
-	once sync.Once
-	err  error
-
-	ic, dc *classEntry
+	ic, dc *cell[*classEntry]
 	sys    *ipet.System
 	wcet   *ipet.WCETResult
 
-	fmms    map[fmmKey]*fmmEntry
-	fmmList []*fmmEntry
-
-	// hbe memoizes the context's transient hit-bound vector (guarded by
-	// Engine.mu like fmms); nil until a transient or combined query
-	// needs it, and reset to nil on eviction.
-	hbe *hbEntry
-}
-
-// hbEntry memoizes the per-set transient hit bounds of one context —
-// like the FMM artifacts, an independently evictable pure function of
-// the context key (the bounds depend only on the classification and the
-// constraint system, not on lambda, pfail or mechanism).
-type hbEntry struct {
-	node *memoNode
-	once sync.Once
-	hb   ipet.HitBounds
-	err  error
+	// fmms is indexed by fmmKind, then by reference stream (0
+	// instruction, 1 data).
+	fmms [fmmPreciseColumn + 1][2]*cell[ipet.FMM]
+	// hb is the transient hit-bound vector, needed only by transient
+	// and combined queries.
+	hb *cell[ipet.HitBounds]
 }
 
 // fmmKind selects one memoized FMM artifact of a context.
@@ -367,19 +481,6 @@ const (
 	// fmmPreciseColumn is the precise-SRB f = W column.
 	fmmPreciseColumn
 )
-
-type fmmKey struct {
-	kind fmmKind
-	data bool
-}
-
-type fmmEntry struct {
-	key  fmmKey
-	node *memoNode
-	once sync.Once
-	fmm  ipet.FMM
-	err  error
-}
 
 // NewEngine builds an analysis session for the program: it verifies the
 // loop metadata and reducibility once, constructs the IPET constraint
@@ -418,8 +519,8 @@ func NewEngine(p *program.Program, opt EngineOptions) (*Engine, error) {
 		exact:    opt.ExactConvolve,
 		maxBytes: opt.MaxArtifactBytes,
 		pristine: sys,
-		classes:  make(map[classKey]*classEntry),
-		ctxs:     make(map[ctxKey]*ctxEntry),
+		classes:  make(map[classKey]*cell[*classEntry]),
+		ctxs:     make(map[ctxKey]*cell[*ctxEntry]),
 	}, nil
 }
 
@@ -436,119 +537,60 @@ func (e *Engine) emit(ev ArtifactEvent) {
 }
 
 // class returns the memoized classification of one cache configuration,
-// computing the fixpoints on first use. The entry is pinned for the
+// computing the fixpoints on first use. The cell is pinned for the
 // caller — class is only called from context construction, and the
 // resulting context holds the pin until it is itself evicted (or its
 // construction fails), so a resident context can never reference an
 // evicted, unaccounted classification.
-func (e *Engine) class(cfg cache.Config, data bool) *classEntry {
-	key := classKey{cfg: cfg, data: data}
-	e.mu.Lock()
-	c := e.classes[key]
-	if c == nil {
-		c = &classEntry{}
-		c.node = &memoNode{drop: func(e *Engine) { delete(e.classes, key) }}
-		e.classes[key] = c
-		e.misses++
-	} else {
-		e.hits++
-		e.touchLocked(c.node)
-	}
-	// A dependency pin: held by the owning context for its resident
-	// lifetime, not by the query that happens to be constructing it.
-	c.node.pins++
-	c.node.depPins++
-	e.mu.Unlock()
-	c.once.Do(func() {
-		switch {
-		case data && e.ref:
-			c.a = absint.NewDataReference(e.p, cfg)
-		case data:
-			c.a = absint.NewData(e.p, cfg)
-		case e.ref:
-			c.a = absint.NewReference(e.p, cfg)
-		default:
-			c.a = absint.New(e.p, cfg)
-		}
-		c.base = c.a.ClassifyAll()
-		e.mu.Lock()
-		e.chargeLocked(c.node, c.a.MemBytes()+int64(cap(c.base)))
-		e.mu.Unlock()
-		e.emit(ArtifactEvent{Artifact: ArtifactClassification, Cache: cfg, Data: data})
-	})
+func (e *Engine) class(cfg cache.Config, data bool) *cell[*classEntry] {
+	ev := ArtifactEvent{Artifact: ArtifactClassification, Cache: cfg, Data: data}
+	c, _ := memo(e, context.Background(), mapSlot(e.classes, classKey{cfg: cfg, data: data}), depPin, ev,
+		func() (*classEntry, int64, error) {
+			var a *absint.Analyzer
+			switch {
+			case data && e.ref:
+				a = absint.NewDataReference(e.p, cfg)
+			case data:
+				a = absint.NewData(e.p, cfg)
+			case e.ref:
+				a = absint.NewReference(e.p, cfg)
+			default:
+				a = absint.New(e.p, cfg)
+			}
+			ce := &classEntry{a: a, base: a.ClassifyAll()}
+			return ce, a.MemBytes() + int64(cap(ce.base)), nil
+		})
 	return c
 }
 
-// srb returns the memoized SRB guaranteed-hit classification. Its bytes
-// are charged onto the owning classification's node (it shares that
-// artifact's lifetime and key).
-func (e *Engine) srb(c *classEntry, data bool) []bool {
-	c.srbOnce.Do(func() {
-		c.srbHit = c.a.ClassifySRB()
-		e.mu.Lock()
-		e.chargeLocked(c.node, int64(cap(c.srbHit)))
-		e.mu.Unlock()
-		e.emit(ArtifactEvent{Artifact: ArtifactSRBClassification, Cache: c.a.Config(), Data: data})
+// srb returns the memoized SRB guaranteed-hit classification, charged
+// onto the owning classification's node.
+func (e *Engine) srb(c *cell[*classEntry], data bool) []bool {
+	a := c.val.a
+	ev := ArtifactEvent{Artifact: ArtifactSRBClassification, Cache: a.Config(), Data: data}
+	c.val.srb.fill(e, c.node, ev, func() ([]bool, int64, error) {
+		hit := a.ClassifySRB()
+		return hit, int64(cap(hit)), nil
 	})
-	return c.srbHit
+	return c.val.srb.val
 }
 
 // context returns the memoized WCET context of the query's cache pair:
 // a private System warmed by exactly the fault-free WCET solve a
-// one-shot Analyze would run, and the WCET result. Genuine analysis
-// errors are sticky; cancellation errors are not — a canceled entry is
-// dropped from the memo map inside its sync.Once, so a caller whose own
-// context is still live retries against a fresh entry instead of
-// inheriting another query's cancellation.
-//
-// The returned context is pinned for the calling query — it cannot be
-// evicted while the analysis uses it. The caller must releaseCtx it
-// (analyze defers this); on error the pin is dropped here.
-func (e *Engine) context(qctx context.Context, icfg cache.Config, dcfg *cache.Config) (*ctxEntry, error) {
-	for {
-		ce, err := e.contextOnce(qctx, icfg, dcfg)
-		if err == nil {
-			return ce, nil
-		}
-		if !isCancelErr(err) || qctx.Err() != nil {
-			return nil, err
-		}
-		// The shared computation was canceled by the context of whichever
-		// query created the entry; ours is still live and the canceled
-		// entry is already out of the memo map, so retry computes fresh.
-	}
-}
-
-func (e *Engine) contextOnce(qctx context.Context, icfg cache.Config, dcfg *cache.Config) (*ctxEntry, error) {
+// one-shot Analyze would run, and the WCET result. The returned cell is
+// pinned for the calling query — it cannot be evicted while the
+// analysis uses it. The caller must releaseCtx it (analyze defers
+// this); on error no pin is held.
+func (e *Engine) context(qctx context.Context, icfg cache.Config, dcfg *cache.Config) (*cell[*ctxEntry], error) {
 	key := ctxKey{icfg: icfg}
 	if dcfg != nil {
 		key.dcfg, key.hasData = *dcfg, true
 	}
-	e.mu.Lock()
-	ce := e.ctxs[key]
-	if ce == nil {
-		ce = &ctxEntry{fmms: make(map[fmmKey]*fmmEntry)}
-		entry := ce
-		ce.node = &memoNode{drop: func(e *Engine) { e.dropCtxLocked(key, entry) }}
-		e.ctxs[key] = ce
-		e.misses++
-	} else {
-		e.hits++
-		e.touchLocked(ce.node)
-	}
-	ce.node.pins++
-	e.mu.Unlock()
-	// analyze's releaseCtx defer is only registered once this returns;
-	// a panic inside the computation (recovered into engine poisoning by
-	// analyzeOnce) must not strand the query pin taken above.
-	defer func() {
-		if r := recover(); r != nil {
-			e.releaseCtx(ce)
-			panic(r)
-		}
-	}()
-	ce.once.Do(func() {
-		ce.ic = e.class(icfg, false) // pins the classification until ctx eviction
+	at := mapSlot(e.ctxs, key)
+	at.release = e.releaseCtxDepsLocked
+	ev := ArtifactEvent{Artifact: ArtifactWCET, Cache: icfg, Data: key.hasData}
+	return memo(e, qctx, at, queryPin, ev, func() (*ctxEntry, int64, error) {
+		ce := &ctxEntry{ic: e.class(icfg, false)} // pins the classification until ctx eviction
 		if key.hasData {
 			ce.dc = e.class(key.dcfg, true)
 		}
@@ -560,7 +602,7 @@ func (e *Engine) contextOnce(qctx context.Context, icfg cache.Config, dcfg *cach
 		var da *absint.Analyzer
 		var dbase []chmc.Class
 		if ce.dc != nil {
-			da, dbase = ce.dc.a, ce.dc.base
+			da, dbase = ce.dc.val.a, ce.dc.val.base
 		}
 		if qctx.Done() != nil {
 			// Abandon the WCET solve between pivot batches when the
@@ -568,233 +610,137 @@ func (e *Engine) contextOnce(qctx context.Context, icfg cache.Config, dcfg *cach
 			// system never retains a dead query's probe.
 			ce.sys.SetCancel(qctx.Err)
 		}
-		ce.wcet, ce.err = ipet.WCETCombined(ce.sys, ce.ic.a, ce.ic.base, da, dbase)
+		wcet, err := ipet.WCETCombined(ce.sys, ce.ic.val.a, ce.ic.val.base, da, dbase)
 		ce.sys.SetCancel(nil)
-		e.mu.Lock()
-		if ce.err != nil {
-			// The sticky error entry stays for dedup, but it is never
-			// charged or evicted, so it must not pin its classifications.
-			// Cancellation is not a property of the key: drop the entry so
-			// the next query recomputes instead of seeing a dead context's
-			// error forever.
+		if err != nil {
+			// A failed context is never charged or evicted, so it must
+			// not keep its classifications pinned.
+			e.mu.Lock()
 			e.unpinClassesLocked(ce)
-			if isCancelErr(ce.err) && e.ctxs[key] == ce {
-				delete(e.ctxs, key)
-			}
-		} else {
-			cost := ce.sys.WarmMemBytes() + int64(cap(ce.wcet.BlockCounts))*8
-			e.chargeLocked(ce.node, cost)
+			e.mu.Unlock()
+			return nil, 0, err
 		}
-		e.mu.Unlock()
-		if ce.err == nil {
-			e.emit(ArtifactEvent{Artifact: ArtifactWCET, Cache: icfg, Data: key.hasData})
-		}
+		ce.wcet = wcet
+		return ce, ce.sys.WarmMemBytes() + int64(cap(wcet.BlockCounts))*8, nil
 	})
-	if ce.err != nil {
-		e.releaseCtx(ce)
-		return nil, ce.err
-	}
-	return ce, nil
 }
 
 // releaseCtx drops a query's pin on its context and enforces the byte
 // budget now that the query's working set is no longer pinned.
-func (e *Engine) releaseCtx(ctx *ctxEntry) {
+func (e *Engine) releaseCtx(c *cell[*ctxEntry]) {
 	e.mu.Lock()
-	ctx.node.pins--
+	c.node.pin(queryPin, -1)
 	e.evictLocked()
 	e.mu.Unlock()
 }
 
 // unpinClassesLocked releases the context's pins on its classification
-// entries (on context eviction, or when construction failed).
-func (e *Engine) unpinClassesLocked(ctx *ctxEntry) {
-	if ctx.ic != nil {
-		ctx.ic.node.pins--
-		ctx.ic.node.depPins--
-	}
-	if ctx.dc != nil {
-		ctx.dc.node.pins--
-		ctx.dc.node.depPins--
+// cells (on context eviction, or when construction failed).
+func (e *Engine) unpinClassesLocked(ce *ctxEntry) {
+	ce.ic.node.pin(depPin, -1)
+	if ce.dc != nil {
+		ce.dc.node.pin(depPin, -1)
 	}
 }
 
-// dropCtxLocked is the context node's drop callback: it removes the
-// context from the memo map, settles its resident FMM artifacts and
-// releases the classification pins.
-func (e *Engine) dropCtxLocked(key ctxKey, ctx *ctxEntry) {
-	delete(e.ctxs, key)
-	e.unpinClassesLocked(ctx)
-	for _, fe := range ctx.fmmList {
-		if fe.node.linked {
-			e.evictNodeLocked(fe.node)
+// releaseCtxDepsLocked runs when a context is evicted: it releases the
+// classification pins and evicts the context's resident FMM and
+// hit-bound artifacts along with it.
+func (e *Engine) releaseCtxDepsLocked(ce *ctxEntry) {
+	e.unpinClassesLocked(ce)
+	for _, byStream := range ce.fmms {
+		for _, c := range byStream {
+			if c != nil && c.node.linked {
+				e.evictNodeLocked(c.node)
+			}
 		}
 	}
-	if ctx.hbe != nil && ctx.hbe.node.linked {
-		e.evictNodeLocked(ctx.hbe.node)
+	if ce.hb != nil && ce.hb.node.linked {
+		e.evictNodeLocked(ce.hb.node)
 	}
 }
 
 // fmmArtifact returns one memoized FMM artifact of the context. The
 // caller must hold a pin on the context (analyze does, for the whole
 // query), which keeps the context — though not necessarily this FMM
-// entry — resident while the artifact is computed and read. Like
-// context, a cancellation error drops the entry and a live caller
-// retries; genuine solver errors stay sticky.
-func (e *Engine) fmmArtifact(qctx context.Context, ce *ctxEntry, key fmmKey) (ipet.FMM, error) {
-	for {
-		fmm, err := e.fmmArtifactOnce(qctx, ce, key)
-		if err == nil || !isCancelErr(err) || qctx.Err() != nil {
-			return fmm, err
-		}
+// cell — resident while the artifact is computed and read.
+func (e *Engine) fmmArtifact(qctx context.Context, ce *ctxEntry, kind fmmKind, data bool) (ipet.FMM, error) {
+	c, stream := ce.ic, 0
+	if data {
+		c, stream = ce.dc, 1
 	}
-}
-
-func (e *Engine) fmmArtifactOnce(qctx context.Context, ce *ctxEntry, key fmmKey) (ipet.FMM, error) {
-	e.mu.Lock()
-	entry := ce.fmms[key]
-	if entry == nil {
-		entry = &fmmEntry{key: key}
-		entry.node = &memoNode{drop: func(e *Engine) { delete(ce.fmms, key) }}
-		ce.fmms[key] = entry
-		// Compact evicted entries out of the list mirror so evict/
-		// recompute churn on a long-lived context cannot grow it without
-		// bound (at most one live entry per fmmKey survives).
-		live := ce.fmmList[:0]
-		for _, fe := range ce.fmmList {
-			if ce.fmms[fe.key] == fe {
-				live = append(live, fe)
-			}
-		}
-		ce.fmmList = append(live, entry)
-		e.misses++
-	} else {
-		e.hits++
-		e.touchLocked(entry.node)
+	opt := ipet.FMMOptions{Workers: e.workers}
+	if qctx.Done() != nil {
+		opt.Ctx = qctx // per-set and pivot-batch cancellation checks
 	}
-	e.mu.Unlock()
-	entry.once.Do(func() {
-		c := ce.ic
-		if key.data {
-			c = ce.dc
+	ev := ArtifactEvent{Artifact: ArtifactFMMColumn, Cache: c.val.a.Config(), Data: data}
+	switch kind {
+	case fmmCore:
+		// MechanismRW never reaches the f = W column, so its FMM is
+		// exactly the mechanism-independent f < W columns.
+		opt.Mechanism = cache.MechanismRW
+		ev.Artifact, ev.Mechanism = ArtifactFMMCore, cache.MechanismRW
+	case fmmNoneColumn:
+		opt.Mechanism = cache.MechanismNone
+		opt.OnlyWholeSetColumn = true
+		ev.Mechanism = cache.MechanismNone
+	case fmmSRBColumn:
+		opt.Mechanism = cache.MechanismSRB
+		opt.OnlyWholeSetColumn = true
+		ev.Mechanism = cache.MechanismSRB
+	case fmmPreciseColumn:
+		// The precise column classifies per set (ClassifySRBForSet);
+		// the SRB guaranteed-hit vector is not consulted.
+		opt.Mechanism = cache.MechanismSRB
+		opt.PreciseSRB = true
+		opt.OnlyWholeSetColumn = true
+		ev.Mechanism, ev.Precise = cache.MechanismSRB, true
+	}
+	fc, err := memo(e, qctx, fieldSlot(&ce.fmms[kind][stream]), noPin, ev, func() (ipet.FMM, int64, error) {
+		if kind == fmmSRBColumn {
+			opt.SRBHit = e.srb(c, data)
 		}
-		opt := ipet.FMMOptions{Workers: e.workers}
-		if qctx.Done() != nil {
-			opt.Ctx = qctx // per-set and pivot-batch cancellation checks
-		}
-		ev := ArtifactEvent{Cache: c.a.Config(), Data: key.data}
-		switch key.kind {
-		case fmmCore:
-			// MechanismRW never reaches the f = W column, so its FMM is
-			// exactly the mechanism-independent f < W columns.
-			opt.Mechanism = cache.MechanismRW
-			ev.Artifact, ev.Mechanism = ArtifactFMMCore, cache.MechanismRW
-		case fmmNoneColumn:
-			opt.Mechanism = cache.MechanismNone
-			opt.OnlyWholeSetColumn = true
-			ev.Artifact, ev.Mechanism = ArtifactFMMColumn, cache.MechanismNone
-		case fmmSRBColumn:
-			opt.Mechanism = cache.MechanismSRB
-			opt.SRBHit = e.srb(c, key.data)
-			opt.OnlyWholeSetColumn = true
-			ev.Artifact, ev.Mechanism = ArtifactFMMColumn, cache.MechanismSRB
-		case fmmPreciseColumn:
-			// The precise column classifies per set (ClassifySRBForSet);
-			// the SRB guaranteed-hit vector is not consulted.
-			opt.Mechanism = cache.MechanismSRB
-			opt.PreciseSRB = true
-			opt.OnlyWholeSetColumn = true
-			ev.Artifact, ev.Mechanism, ev.Precise = ArtifactFMMColumn, cache.MechanismSRB, true
-		}
-		entry.fmm, entry.err = ipet.ComputeFMM(ce.sys, c.a, c.base, opt)
-		switch {
-		case entry.err == nil:
-			e.mu.Lock()
-			e.chargeLocked(entry.node, entry.fmm.MemBytes())
-			e.mu.Unlock()
-			e.emit(ev)
-		case isCancelErr(entry.err):
-			// Never charged; drop so the next query recomputes instead of
-			// inheriting this query's cancellation. The stale pointer left
-			// in fmmList is filtered by the ce.fmms[fe.key] == fe guards.
-			e.mu.Lock()
-			if ce.fmms[key] == entry {
-				delete(ce.fmms, key)
-			}
-			e.mu.Unlock()
-		}
+		fmm, err := ipet.ComputeFMM(ce.sys, c.val.a, c.val.base, opt)
+		return fmm, fmm.MemBytes(), err
 	})
-	return entry.fmm, entry.err
+	return fc.val, err
 }
 
 // hitBounds returns the context's memoized transient hit-bound vector,
 // solving the per-set ILPs on first use. The caller must hold a pin on
 // the context (analyze does); the vector itself is never mutated after
 // construction, so returning the memoized slice directly is safe even
-// across a later eviction. Cancellation errors drop the entry and a
-// live caller retries, exactly like fmmArtifact.
+// across a later eviction.
 func (e *Engine) hitBounds(qctx context.Context, ce *ctxEntry) (ipet.HitBounds, error) {
-	for {
-		hb, err := e.hitBoundsOnce(qctx, ce)
-		if err == nil || !isCancelErr(err) || qctx.Err() != nil {
-			return hb, err
-		}
+	a, base := ce.ic.val.a, ce.ic.val.base
+	opt := ipet.HitBoundOptions{Workers: e.workers}
+	if qctx.Done() != nil {
+		opt.Ctx = qctx
 	}
-}
-
-func (e *Engine) hitBoundsOnce(qctx context.Context, ce *ctxEntry) (ipet.HitBounds, error) {
-	e.mu.Lock()
-	entry := ce.hbe
-	if entry == nil {
-		entry = &hbEntry{}
-		entry.node = &memoNode{drop: func(e *Engine) { ce.hbe = nil }}
-		ce.hbe = entry
-		e.misses++
-	} else {
-		e.hits++
-		e.touchLocked(entry.node)
-	}
-	e.mu.Unlock()
-	entry.once.Do(func() {
-		c := ce.ic
-		opt := ipet.HitBoundOptions{Workers: e.workers}
-		if qctx.Done() != nil {
-			opt.Ctx = qctx
-		}
-		entry.hb, entry.err = ipet.ComputeHitBounds(ce.sys, c.a, c.base, opt)
-		switch {
-		case entry.err == nil:
-			e.mu.Lock()
-			e.chargeLocked(entry.node, entry.hb.MemBytes())
-			e.mu.Unlock()
-			e.emit(ArtifactEvent{Artifact: ArtifactTransientBound, Cache: c.a.Config()})
-		case isCancelErr(entry.err):
-			e.mu.Lock()
-			if ce.hbe == entry {
-				ce.hbe = nil
-			}
-			e.mu.Unlock()
-		}
+	ev := ArtifactEvent{Artifact: ArtifactTransientBound, Cache: a.Config()}
+	hc, err := memo(e, qctx, fieldSlot(&ce.hb), noPin, ev, func() (ipet.HitBounds, int64, error) {
+		hb, err := ipet.ComputeHitBounds(ce.sys, a, base, opt)
+		return hb, hb.MemBytes(), err
 	})
-	return entry.hb, entry.err
+	return hc.val, err
 }
 
 // fmmFor splices the requested mechanism's fault miss map from the
 // memoized artifacts: the shared f < W columns plus the mechanism's
 // f = W column. The returned FMM is a fresh copy the caller owns.
 func (e *Engine) fmmFor(qctx context.Context, ctx *ctxEntry, data bool, mech cache.Mechanism, precise bool) (ipet.FMM, error) {
-	core, err := e.fmmArtifact(qctx, ctx, fmmKey{kind: fmmCore, data: data})
+	core, err := e.fmmArtifact(qctx, ctx, fmmCore, data)
 	if err != nil {
 		return nil, err
 	}
 	var column ipet.FMM
 	switch {
 	case precise:
-		column, err = e.fmmArtifact(qctx, ctx, fmmKey{kind: fmmPreciseColumn, data: data})
+		column, err = e.fmmArtifact(qctx, ctx, fmmPreciseColumn, data)
 	case mech == cache.MechanismNone:
-		column, err = e.fmmArtifact(qctx, ctx, fmmKey{kind: fmmNoneColumn, data: data})
+		column, err = e.fmmArtifact(qctx, ctx, fmmNoneColumn, data)
 	case mech == cache.MechanismSRB:
-		column, err = e.fmmArtifact(qctx, ctx, fmmKey{kind: fmmSRBColumn, data: data})
+		column, err = e.fmmArtifact(qctx, ctx, fmmSRBColumn, data)
 	}
 	if err != nil {
 		return nil, err
@@ -803,7 +749,7 @@ func (e *Engine) fmmFor(qctx context.Context, ctx *ctxEntry, data bool, mech cac
 	if data {
 		c = ctx.dc
 	}
-	ways := c.a.Config().Ways
+	ways := c.val.a.Config().Ways
 	fmm := make(ipet.FMM, len(core))
 	for s, row := range core {
 		fmm[s] = append([]int64(nil), row...)
@@ -837,10 +783,10 @@ func (e *Engine) AnalyzeContext(ctx context.Context, q Query) (*Result, error) {
 
 // analyze runs one query with the per-query distribution stages
 // bounded by stageWorkers, dispatching to the degraded-mode retry loop
-// when the query arms a soft deadline. AnalyzeBatchStream's parallel
-// path passes 1: the query-level fan-out already saturates the pool,
-// and multiplying it by per-set parallelism would oversubscribe the
-// machine. Stage parallelism never changes any result.
+// when the query arms a soft deadline. AnalyzeBatchStreamContext's
+// parallel path passes 1: the query-level fan-out already saturates the
+// pool, and multiplying it by per-set parallelism would oversubscribe
+// the machine. Stage parallelism never changes any result.
 func (e *Engine) analyze(qctx context.Context, q Query, stageWorkers int) (*Result, error) {
 	if q.SoftDeadline <= 0 {
 		return e.analyzeOnce(qctx, q, stageWorkers)
@@ -954,7 +900,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 		}
 	}
 
-	ce, err := e.context(qctx, opt.Cache, opt.DataCache)
+	cc, err := e.context(qctx, opt.Cache, opt.DataCache)
 	if err != nil {
 		return nil, err
 	}
@@ -963,7 +909,8 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	// against the unpinned remainder now and fully on release. The defer
 	// also runs when the analysis panics (the recover above fires after
 	// it), so even a poisoning query leaves no pinned bytes behind.
-	defer e.releaseCtx(ce)
+	defer e.releaseCtx(cc)
+	ce := cc.val
 	var fmm ipet.FMM
 	if kind != fault.KindTransient {
 		fmm, err = e.fmmFor(qctx, ce, false, opt.Mechanism, false)
@@ -1016,10 +963,11 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	return res, nil
 }
 
-// BatchResult is one indexed outcome of AnalyzeBatchStream: the query's
-// position in the input slice, the query itself, and either a result or
-// an error. Delivery order follows completion, but the content of every
-// result is deterministic — a pure function of the query.
+// BatchResult is one indexed outcome of AnalyzeBatchStreamContext: the
+// query's position in the input slice, the query itself, and either a
+// result or an error. Delivery order follows completion, but the
+// content of every result is deterministic — a pure function of the
+// query.
 type BatchResult struct {
 	Index  int
 	Query  Query
@@ -1027,22 +975,17 @@ type BatchResult struct {
 	Err    error
 }
 
-// AnalyzeBatchStream schedules the queries over the engine's worker
-// pool and streams each outcome to deliver as soon as it completes.
-// deliver is never called concurrently with itself; delivery order is
-// scheduling-dependent, result content is not. Shared artifacts are
-// computed once however many queries need them: concurrent queries
-// that hit the same missing artifact block until its single
-// computation finishes.
-func (e *Engine) AnalyzeBatchStream(queries []Query, deliver func(BatchResult)) {
-	e.AnalyzeBatchStreamContext(context.Background(), queries, deliver)
-}
-
-// AnalyzeBatchStreamContext is AnalyzeBatchStream under a context. When
-// the context dies, every not-yet-started query fails fast with
-// ctx.Err() and in-flight queries abandon their solves at the next
-// cancellation checkpoint — deliver is still called exactly once per
-// query, and all worker goroutines exit before the call returns.
+// AnalyzeBatchStreamContext schedules the queries over the engine's
+// worker pool and streams each outcome to deliver as soon as it
+// completes. deliver is never called concurrently with itself; delivery
+// order is scheduling-dependent, result content is not. Shared
+// artifacts are computed once however many queries need them:
+// concurrent queries that hit the same missing artifact block until its
+// single computation finishes. When the context dies, every
+// not-yet-started query fails fast with ctx.Err() and in-flight queries
+// abandon their solves at the next cancellation checkpoint — deliver is
+// still called exactly once per query, and all worker goroutines exit
+// before the call returns.
 func (e *Engine) AnalyzeBatchStreamContext(ctx context.Context, queries []Query, deliver func(BatchResult)) {
 	workers := e.workers
 	if workers <= 0 {
@@ -1069,7 +1012,7 @@ func (e *Engine) AnalyzeBatchStreamContext(ctx context.Context, queries []Query,
 			for i := range jobs {
 				// Stage parallelism 1: the query-level fan-out already
 				// saturates the pool (memoized artifacts still compute
-				// at the engine's Workers, deduplicated by sync.Once).
+				// at the engine's Workers, deduplicated by their memo cells).
 				res, err := e.analyze(ctx, queries[i], 1)
 				mu.Lock()
 				deliver(BatchResult{Index: i, Query: queries[i], Result: res, Err: err})
@@ -1082,29 +1025,6 @@ func (e *Engine) AnalyzeBatchStreamContext(ctx context.Context, queries []Query,
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// AnalyzeBatchChan is AnalyzeBatchStream delivering over a channel; the
-// channel is closed after the last result. The channel is buffered to
-// hold the whole batch, so a consumer that stops reading early (e.g.
-// breaking out of the range on the first error) strands no goroutine —
-// the remaining queries still run to completion in the background.
-func (e *Engine) AnalyzeBatchChan(queries []Query) <-chan BatchResult {
-	return e.AnalyzeBatchChanContext(context.Background(), queries)
-}
-
-// AnalyzeBatchChanContext is AnalyzeBatchChan under a context. The
-// channel still closes after exactly len(queries) results — canceled
-// queries are delivered with Err set, never silently dropped — so an
-// abandoned consumer strands no goroutine and a canceled batch winds
-// down promptly.
-func (e *Engine) AnalyzeBatchChanContext(ctx context.Context, queries []Query) <-chan BatchResult {
-	ch := make(chan BatchResult, len(queries))
-	go func() {
-		defer close(ch)
-		e.AnalyzeBatchStreamContext(ctx, queries, func(r BatchResult) { ch <- r })
-	}()
-	return ch
 }
 
 // AnalyzeBatch runs all queries and returns their results in input

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -258,9 +259,8 @@ func TestEngineMemoizesExpensiveStages(t *testing.T) {
 }
 
 // TestEngineBatchStreaming checks the streaming contract: every index
-// delivered exactly once, deliver never called concurrently, channel
-// variant closes after the last result, and per-index content matches
-// the ordered batch.
+// delivered exactly once, deliver never called concurrently, and
+// per-index content matches the ordered batch.
 func TestEngineBatchStreaming(t *testing.T) {
 	p := buildLoop(t)
 	e, err := NewEngine(p, EngineOptions{Workers: 4})
@@ -279,7 +279,7 @@ func TestEngineBatchStreaming(t *testing.T) {
 
 	seen := make(map[int]int)
 	inFlight := 0
-	e.AnalyzeBatchStream(queries, func(r BatchResult) {
+	e.AnalyzeBatchStreamContext(context.Background(), queries, func(r BatchResult) {
 		inFlight++
 		if inFlight != 1 {
 			t.Error("deliver called concurrently")
@@ -300,17 +300,6 @@ func TestEngineBatchStreaming(t *testing.T) {
 		if seen[i] != 1 {
 			t.Errorf("index %d delivered %d times", i, seen[i])
 		}
-	}
-
-	n := 0
-	for r := range e.AnalyzeBatchChan(queries) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		n++
-	}
-	if n != len(queries) {
-		t.Errorf("channel delivered %d results, want %d", n, len(queries))
 	}
 }
 
@@ -383,7 +372,7 @@ func TestEngineErrors(t *testing.T) {
 		t.Error("batch with invalid query succeeded")
 	}
 	var failures []int
-	e.AnalyzeBatchStream(queries, func(r BatchResult) {
+	e.AnalyzeBatchStreamContext(context.Background(), queries, func(r BatchResult) {
 		if r.Err != nil {
 			failures = append(failures, r.Index)
 		}

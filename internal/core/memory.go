@@ -6,8 +6,8 @@ package core
 // columns — carries an estimated byte cost (the MemBytes estimators of
 // internal/absint, internal/ipet and internal/lp) and an intrusive LRU
 // node. When the estimated resident total exceeds the budget, least-
-// recently-used unpinned artifacts are evicted: removed from their memo
-// map so the next query that needs them recomputes them from scratch.
+// recently-used unpinned artifacts are evicted: removed from their owner
+// so the next query that needs them recomputes them from scratch.
 //
 // Eviction is behavior-invariant by construction: every artifact is an
 // immutable pure function of its key, so evict → recompute yields
@@ -41,10 +41,22 @@ type memoNode struct {
 	linked  bool
 	prev    *memoNode
 	next    *memoNode
-	// drop removes the artifact from its owner map and releases its
-	// dependency pins. Called with Engine.mu held, after the node has
-	// been unlinked and its cost subtracted.
+	// drop removes the artifact from its owner and, for a filled
+	// artifact, releases what its value holds (a context's dependency
+	// pins and resident FMM/hit-bound artifacts). Called with Engine.mu
+	// held: on eviction after the node has been unlinked and its cost
+	// subtracted, and on a canceled fill, whose node was never linked.
 	drop func(e *Engine)
+}
+
+// pin adds d pins of the given kind (see pinKind); d = -1 releases one.
+func (n *memoNode) pin(kind pinKind, d int) {
+	if kind != noPin {
+		n.pins += d
+	}
+	if kind == depPin {
+		n.depPins += d
+	}
 }
 
 // MemStats is a snapshot of the engine's artifact-memory accounting.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/fault"
 )
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -274,5 +275,74 @@ func TestBatchCancellationAcrossWorkers(t *testing.T) {
 		if _, err := eng.Analyze(queries[0]); err != nil {
 			t.Fatalf("workers=%d: engine unusable after cancel rounds: %v", workers, err)
 		}
+	}
+}
+
+// TestCancelBeforeEachArtifact pins the memo cancellation contract per
+// artifact kind. The query is canceled from the Hook on the event just
+// before the target artifact, so the target's own computation sees the
+// dead context. The query must fail with context.Canceled and strand no
+// pins; the cancellation must not be sticky (the next live query
+// computes the target exactly once more); and that query must match a
+// fresh engine byte for byte.
+func TestCancelBeforeEachArtifact(t *testing.T) {
+	p := buildLoop(t)
+	transient := Query{Scenario: fault.Transient{Lambda: 1e-6}}
+	cases := []struct {
+		name       string
+		on, target Artifact
+		q          Query
+	}{
+		{"wcet", ArtifactClassification, ArtifactWCET, Query{Pfail: 1e-4, Mechanism: cache.MechanismRW}},
+		{"fmm-core", ArtifactWCET, ArtifactFMMCore, Query{Pfail: 1e-4, Mechanism: cache.MechanismRW}},
+		{"transient-bound", ArtifactWCET, ArtifactTransientBound, transient},
+		{"fmm-column-none", ArtifactFMMCore, ArtifactFMMColumn, Query{Pfail: 1e-4, Mechanism: cache.MechanismNone}},
+		{"fmm-column-srb", ArtifactFMMCore, ArtifactFMMColumn, Query{Pfail: 1e-4, Mechanism: cache.MechanismSRB}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Workers 1 keeps every Hook call on the querying goroutine.
+			var cancel context.CancelFunc
+			counts := make(map[Artifact]int)
+			eng, err := NewEngine(p, EngineOptions{Workers: 1, Hook: func(ev ArtifactEvent) {
+				counts[ev.Artifact]++
+				if cancel != nil && ev.Artifact == tc.on {
+					cancel()
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, c := context.WithCancel(context.Background())
+			defer c()
+			cancel = c
+			if _, err := eng.AnalyzeContext(ctx, tc.q); !errors.Is(err, context.Canceled) {
+				t.Fatalf("query canceled on %v = %v, want context.Canceled", tc.on, err)
+			}
+			cancel = nil
+			if counts[tc.target] != 0 {
+				t.Fatalf("%v computed %d times under a dead context", tc.target, counts[tc.target])
+			}
+			if ms := eng.MemStats(); ms.PinnedBytes != 0 {
+				t.Fatalf("canceled query left pins behind: %+v", ms)
+			}
+
+			got, err := eng.AnalyzeContext(context.Background(), tc.q)
+			if err != nil {
+				t.Fatalf("live query after cancellation: %v", err)
+			}
+			if counts[tc.target] != 1 {
+				t.Fatalf("live query computed %v %d times, want exactly 1 (cancellation was sticky?)", tc.target, counts[tc.target])
+			}
+			fresh, err := NewEngine(p, EngineOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Analyze(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireDeepEqualResult(t, tc.name, want, got)
+		})
 	}
 }

@@ -210,22 +210,23 @@ func denseOffsets(o *Dist, g uint64) []int {
 	return ooff
 }
 
-// convolveWorkers is Convolve with the work split across up to workers
-// goroutines by partitioning the OUTPUT value range. Every output atom
-// is owned by exactly one partition and accumulates its pair products
-// in the same order the serial path uses (ascending index of the first
-// operand on the dense path, ascending stream index on the k-way
-// path), so the result is byte-identical to Convolve for every worker
+// convolveWorkersSem is Convolve with the work split across up to
+// workers goroutines by partitioning the OUTPUT value range. Every
+// output atom is owned by exactly one partition and accumulates its
+// pair products in the same order the serial path uses (ascending
+// index of the first operand on the dense path, ascending stream index
+// on the k-way path), so the result is byte-identical to Convolve for every worker
 // count and every partitioning — the property ConvolveAll's worker
 // independence rests on (asserted by TestConvolveWorkersByteIdentical
 // and FuzzConvolveWorkers). Small convolutions and degenerate operands
-// fall through to the serial implementation.
-func convolveWorkers(d *Dist, o *Dist, workers int) *Dist {
-	return convolveWorkersSem(d, o, workers, nil)
-}
-
-// convolveWorkersSem is convolveWorkers drawing helper goroutines from
-// sem (see parallelFor); a nil sem spawns helpers unconditionally.
+// fall through to the serial implementation. Helper goroutines are
+// drawn from sem (see parallelFor); a nil sem spawns them
+// unconditionally.
+//
+// The split pays on the heavy 256-set tails: on the repo benchmark's
+// tail-warm workload (2 CPUs), removing intra-merge splitting raised
+// latency_tail_ms by ~31%, past the benchmark's bound, so the path
+// stays even though a replay of isolated reductions reads no speedup.
 func convolveWorkersSem(d *Dist, o *Dist, workers int, sem chan struct{}) *Dist {
 	n, m := len(d.values), len(o.values)
 	if workers <= 1 || n == 1 || m == 1 || n*m < minSplitPairs {
@@ -258,7 +259,9 @@ func convolveWorkersSem(d *Dist, o *Dist, workers int, sem chan struct{}) *Dist 
 }
 
 // minSplitPairs is the pair count under which splitting a convolution
-// across goroutines costs more than it saves.
+// across goroutines costs more than it saves. Above it, splitting is
+// what keeps the tail-warm deep-tail queries fast (see
+// convolveWorkersSem).
 const minSplitPairs = 1 << 16
 
 // convolveDensePar is convolveDense with the output span partitioned

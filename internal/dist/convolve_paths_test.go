@@ -140,7 +140,7 @@ func TestConvolvePathAgreement(t *testing.T) {
 
 			// Workers variant must be byte-identical to the serial result
 			// for every path (the PR 4 contract the reduction relies on).
-			par := convolveWorkers(tc.a, tc.b, 4)
+			par := convolveWorkersSem(tc.a, tc.b, 4, nil)
 			if par.Len() != got.Len() {
 				t.Fatalf("workers=4 support size %d, want %d", par.Len(), got.Len())
 			}

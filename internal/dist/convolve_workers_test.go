@@ -66,7 +66,7 @@ func TestConvolveWorkersByteIdentical(t *testing.T) {
 				b := bigRandomDist(t, rng, 300+rng.Intn(200), tc.stride)
 				want := a.Convolve(b)
 				for _, workers := range []int{2, 3, 8} {
-					assertSameAtoms(t, tc.name, convolveWorkers(a, b, workers), want)
+					assertSameAtoms(t, tc.name, convolveWorkersSem(a, b, workers, nil), want)
 				}
 			}
 		})
@@ -80,7 +80,7 @@ func TestConvolveWorkersSmallFallsThrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	a := randomDist(t, rng, 12)
 	b := randomDist(t, rng, 12)
-	assertSameAtoms(t, "small", convolveWorkers(a, b, 8), a.Convolve(b))
+	assertSameAtoms(t, "small", convolveWorkersSem(a, b, 8, nil), a.Convolve(b))
 }
 
 // TestBuildMergePlanEqualSizes: with equal-size inputs the size-aware

@@ -85,8 +85,8 @@ func siftDownFunc[T any](h []T, root int, less func(a, b T) bool) {
 // the exactness conditions.
 //
 // ConvolveAll coarsens with the default CoarsenLeastError strategy;
-// ConvolveAllWith selects the strategy explicitly. ConvolveAllExact and
-// ConvolveAllExactWith are the retained reference reduction — same
+// ConvolveAllWith selects the strategy explicitly. ConvolveAllExactWith
+// is the retained reference reduction — same
 // canonical order and merge plan, no sharing, no in-tree coarsening —
 // byte-identical to the optimized path whenever no coarsening binds
 // (core.Options.ExactConvolve routes the pipeline through it for
@@ -189,12 +189,6 @@ func ConvolveAllWith(ds []*Dist, maxSupport, workers int, strategy CoarsenStrate
 func ConvolveAllCancelWith(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy, probe func() error) (*Dist, error) {
 	d, _, err := convolveAllOptCancel(ds, maxSupport, workers, strategy, probe)
 	return d, err
-}
-
-// ConvolveAllExact is ConvolveAllExactWith with the default
-// CoarsenLeastError strategy.
-func ConvolveAllExact(ds []*Dist, maxSupport, workers int) *Dist {
-	return ConvolveAllExactWith(ds, maxSupport, workers, CoarsenLeastError)
 }
 
 // ConvolveAllExactWith is the retained reference reduction: the same

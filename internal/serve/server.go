@@ -457,13 +457,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				queries[i].SoftDeadline = s.opt.SoftDeadline
 			}
 		}
-		ch := handle.Engine().AnalyzeBatchChanContext(rctx, queries)
+		// The channel is buffered for the whole batch, so when the client
+		// vanishes mid-stream the producers never block — the background
+		// drain below just discards the leftovers and returns the engine
+		// to the pool, which therefore cannot wedge.
+		ch := make(chan core.BatchResult, len(queries))
+		eng := handle.Engine()
+		go func() {
+			defer close(ch)
+			eng.AnalyzeBatchStreamContext(rctx, queries, func(br core.BatchResult) { ch <- br })
+		}()
 		// Reassemble completion order into grid order: each row streams
-		// as soon as it and all lower-index rows are done. The channel
-		// is buffered for the whole batch, so when the client vanishes
-		// mid-stream the producers never block — the background drain
-		// below just discards the leftovers and returns the engine to
-		// the pool, which therefore cannot wedge.
+		// as soon as it and all lower-index rows are done.
 		done := make([]*core.BatchResult, len(queries))
 		next := 0
 		streaming := true

@@ -32,10 +32,10 @@
 //	fmt.Println(res.FaultFreeWCET, res.PWCET)
 //
 // Engine.AnalyzeBatch evaluates many queries at once over a worker
-// pool with shared-work deduplication; Engine.AnalyzeBatchStream and
-// Engine.AnalyzeBatchChan stream indexed results as they complete. For
-// a single configuration, the one-shot Analyze and AnalyzeAll helpers
-// wrap a throwaway Engine.
+// pool with shared-work deduplication;
+// Engine.AnalyzeBatchStreamContext streams indexed results as they
+// complete. For a single configuration, the one-shot Analyze and
+// AnalyzeAll helpers wrap a throwaway Engine.
 //
 // The paper's 25-benchmark Mälardalen evaluation is available through
 // Benchmarks and Benchmark; cmd/paperfigs regenerates every figure and
