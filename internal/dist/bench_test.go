@@ -8,6 +8,8 @@ package dist
 // set — while "xSelf" measures the quadratic worst case.
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -101,6 +103,47 @@ func BenchmarkConvolveWideSpan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = x.Convolve(y)
+	}
+}
+
+// deepTailDist builds an n-atom distribution on the miss-penalty grid
+// whose probabilities decay log-linearly from ~1 down to the smallest
+// subnormals — log-uniform over the whole float64 range, the shape of
+// the top merges of a 256-set penalty reduction read at 1e-15.
+func deepTailDist(n int, seed int64) *Dist {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]Point, n)
+	v := int64(0)
+	var mass float64
+	for i := range pts {
+		pts[i] = Point{Value: v, Prob: math.Ldexp(1+rng.Float64(), -1070*i/n)}
+		mass += pts[i].Prob
+		v += 100 * int64(1+rng.Intn(3))
+	}
+	for i := range pts {
+		pts[i].Prob /= mass
+	}
+	d, err := New(pts)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// BenchmarkConvolveDeepTail measures a deep-tail top merge, 4096 x 2440
+// atoms on a shared stride, where most pair products are subnormal or
+// round to zero: the pairs whose float64 multiply would take a
+// microcode assist. Serial and at 2 workers (the output-partitioned
+// path).
+func BenchmarkConvolveDeepTail(b *testing.B) {
+	x := deepTailDist(4096, 16)
+	y := deepTailDist(2440, 17)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for b.Loop() {
+				convolveWorkersSem(x, y, workers, nil)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // checkMassTolerance bounds how far the total mass of a checked
@@ -63,4 +64,57 @@ func (d *Dist) check(where string) {
 	if mass > 1+checkMassTolerance {
 		panic(fmt.Sprintf("pwcetcheck: %s: total mass %g exceeds 1 by more than %g", where, mass, checkMassTolerance))
 	}
+}
+
+// checkPlainPairs is the pair count up to which the sanitizer re-runs
+// a convolution through plainConvolve: every per-set and low-tree
+// convolution of the pipeline, at a quadratic cost that stays small.
+const checkPlainPairs = 4096
+
+// checkPlain panics unless out, the kernel's convolution of outer and
+// inner, holds bitwise the atoms of plainConvolve(outer, inner).
+func checkPlain(out, outer, inner *Dist) {
+	want := plainConvolve(outer, inner)
+	if len(out.values) != len(want.values) {
+		panic(fmt.Sprintf("pwcetcheck: Convolve: %d atoms, plain loop %d", len(out.values), len(want.values)))
+	}
+	for k, v := range out.values {
+		if v != want.values[k] || math.Float64bits(out.probs[k]) != math.Float64bits(want.probs[k]) {
+			panic(fmt.Sprintf("pwcetcheck: Convolve: atom %d is (%d, %b), plain loop (%d, %b)",
+				k, v, out.probs[k], want.values[k], want.probs[k]))
+		}
+	}
+}
+
+// plainConvolve is the reference convolution the kernels are pinned
+// to: the plain dense loop with a's atoms in ascending order outside,
+// a float64 multiply per pair, cells whose sum is 0 dropped. Its cells
+// are the distinct pair sums (sorted), so it runs on any value span in
+// O(n·m·log(n·m)).
+func plainConvolve(a, b *Dist) *Dist {
+	sums := make([]int64, 0, len(a.values)*len(b.values))
+	for _, va := range a.values {
+		for _, vb := range b.values {
+			sums = append(sums, va+vb)
+		}
+	}
+	slices.Sort(sums)
+	sums = slices.Compact(sums)
+	buf := make([]float64, len(sums))
+	for i, va := range a.values {
+		pi := a.probs[i]
+		for j, vb := range b.values {
+			k, _ := slices.BinarySearch(sums, va+vb)
+			buf[k] += pi * b.probs[j]
+		}
+	}
+	values := make([]int64, 0, len(sums))
+	probs := make([]float64, 0, len(sums))
+	for k, p := range buf {
+		if p > 0 {
+			values = append(values, sums[k])
+			probs = append(probs, p)
+		}
+	}
+	return fromSorted(values, probs)
 }

@@ -1,6 +1,9 @@
 package dist
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestPwcetcheckCatchesCorruptDist: under -tags pwcetcheck, feeding a
 // hand-corrupted Dist (atoms out of order) into an operation must panic
@@ -41,4 +44,21 @@ func TestPwcetcheckCatchesBrokenCCDF(t *testing.T) {
 		}
 	}()
 	_ = corrupt.Convolve(Degenerate(1))
+}
+
+// TestPwcetcheckCatchesKernelMismatch: a convolution result one ulp
+// off the plain loop must fail the sanitizer's cross-check.
+func TestPwcetcheckCatchesKernelMismatch(t *testing.T) {
+	a := subUnit([]int64{0, 3, 7}, []float64{1, 2, 3}, 1)
+	b := subUnit([]int64{1, 2}, []float64{1, 1}, 1)
+	out := a.Convolve(b)
+	checkPlain(out, a, b) // the kernel agrees with the plain loop
+	probs := append([]float64(nil), out.probs...)
+	probs[2] = math.Nextafter(probs[2], 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("checkPlain accepted a result one ulp off the plain loop")
+		}
+	}()
+	checkPlain(fromSorted(append([]int64(nil), out.values...), probs), a, b)
 }

@@ -16,78 +16,49 @@ const maxDenseSpan = 1 << 22
 // so it avoids map churn entirely:
 //
 //   - a degenerate operand turns the convolution into a Shift;
-//   - when the result's value span is small relative to the number of
-//     atom pairs (the common case: penalties share the miss-penalty
-//     granularity), products are accumulated into a single
-//     preallocated buffer indexed by value offset, O(n·m) with no
-//     sorting and no allocation beyond the buffer and the result;
-//   - when the raw span is too wide but both supports share a common
-//     value stride g > 1 (penalties are multiples of the miss penalty,
-//     so whole reduction trees do), the same flat accumulation runs on
-//     the compressed grid base + k·g with span/g cells — bitwise the
-//     same atoms in the same order, at a fraction of the buffer;
+//   - when the result's value span, compressed onto the coarsest grid
+//     base + k·g holding every pair sum (g is the gcd of both
+//     supports' value gaps: penalties are multiples of the miss
+//     penalty, so whole reduction trees share a stride; g = 1 is the
+//     plain value offset), is small relative to the number of atom
+//     pairs, products are accumulated into a single preallocated
+//     buffer indexed by grid cell, O(n·m) with no sorting;
 //   - otherwise — wide-span operands, the shape of the high levels of
 //     ConvolveAll's reduction tree — the n sorted per-atom sum streams
 //     are merged through a deterministic k-way heap, O(n·m·log k) with
 //     k = min(n, m) and O(k) extra memory, instead of materializing
 //     and sorting all n·m pairs.
 //
+// Every pair product is bitwise the float64 product x*q, but computed
+// so that no float64 multiply has a subnormal operand or result (those
+// take a ~30x microcode assist on x86, and the deep tail of a 256-set
+// penalty distribution reaches 1e-323). Each pair falls into one of
+// three classes by its operands' binary exponents (see classifyPair),
+// and each is bitwise-neutral by construction:
+//
+//   - hardware (product ≥ 2^-1022, both operands normal): x*q as is;
+//   - zero (product < 2^-1075): x*q rounds to +0 and adding +0 is the
+//     identity, so the pair is skipped;
+//   - band (everything in between): an integer round-to-nearest-even
+//     multiply returns exactly the bits of x*q.
+//
+// The dense kernel also skips a pair whose product is below half an
+// ulp of its cell's running sum: the rounded addition would return the
+// cell unchanged, so skipping it is exact too.
+//
+// Each output atom sums its pair products in ascending index of one
+// fixed operand (the receiver on the dense path, the smaller operand
+// on the k-way path), so the result is a pure function of the operands.
 // Total mass is conserved to floating-point accuracy (the result's
 // mass is the product of the operands' masses); no renormalization
-// happens. Pair products that underflow to exactly 0 are dropped on
-// both paths, preserving the probs[i] > 0 invariant (the lost mass is
-// below the smallest subnormal, far under any tolerance here).
+// happens. Cells whose products all round to 0 are dropped, preserving
+// the probs[i] > 0 invariant (the lost mass is below the smallest
+// subnormal, far under any tolerance here).
 //
 // Convolve panics when an extreme pair sum (Min+Min or Max+Max) would
 // overflow int64 — like Shift, silently wrapping would corrupt the
 // value domain and with it the soundness contract.
-func (d *Dist) Convolve(o *Dist) *Dist {
-	if checkEnabled {
-		d.check("Convolve operand")
-		o.check("Convolve operand")
-	}
-	n, m := len(d.values), len(o.values)
-	checkSumOverflow(d.values[0], o.values[0])
-	checkSumOverflow(d.values[n-1], o.values[m-1])
-	if n == 1 {
-		// P(X = v) = 1: the sum is o shifted by v, scaled by the
-		// (unit) mass.
-		return o.Shift(d.values[0])
-	}
-	if m == 1 {
-		return d.Shift(o.values[0])
-	}
-	base := d.values[0] + o.values[0]
-	// The span is compared as (span - 1) in uint64: the difference of
-	// the two extreme sums always fits there even when it exceeds
-	// MaxInt64 — including the extreme case where it is 2^64 - 1 and
-	// span itself would wrap to 0.
-	diff := uint64(d.values[n-1]+o.values[m-1]) - uint64(base)
-	if diff < uint64(denseLimit(n*m)) {
-		if diff >= minStrideCells {
-			if g := strideGCD(d, o); g > 1 {
-				return d.convolveDenseStride(o, base, int(diff/g)+1, g)
-			}
-		}
-		return d.convolveDense(o, base, int(diff)+1)
-	}
-	// A raw span too wide for the dense buffer often compresses onto a
-	// coarse grid: penalty values are multiples of the cache miss
-	// penalty, so whole reduction trees share a common value stride.
-	if g := strideGCD(d, o); g > 1 {
-		if cells := diff/g + 1; cells <= uint64(denseLimit(n*m)) {
-			return d.convolveDenseStride(o, base, int(cells), g)
-		}
-	}
-	return d.convolveKWay(o)
-}
-
-// minStrideCells is the raw span under which the plain dense buffer is
-// already cache-resident and the stride grid would only add the offset
-// precomputation. Above it, a shared stride g > 1 divides the buffer
-// (the two dense paths produce bitwise-identical results, so the choice
-// is purely a locality matter).
-const minStrideCells = 1 << 15
+func (d *Dist) Convolve(o *Dist) *Dist { return convolveWorkersSem(d, o, 1, nil) }
 
 // strideGCD returns the greatest common divisor of every adjacent value
 // difference of both operands: the coarsest grid base + k·g that holds
@@ -135,127 +106,69 @@ func denseLimit(pairs int) int {
 	return l
 }
 
-// convolveDense accumulates pair products into a value-indexed buffer.
-func (d *Dist) convolveDense(o *Dist, base int64, span int) *Dist {
-	buf := make([]float64, span)
-	for i, vi := range d.values {
-		pi := d.probs[i]
-		off := vi - base
-		for j, vj := range o.values {
-			buf[off+vj] += pi * o.probs[j]
-		}
-	}
-	cnt := 0
-	for _, p := range buf {
-		if p > 0 {
-			cnt++
-		}
-	}
-	values := make([]int64, 0, cnt)
-	probs := make([]float64, 0, cnt)
-	for k, p := range buf {
-		if p > 0 {
-			values = append(values, base+int64(k))
-			probs = append(probs, p)
-		}
-	}
-	return fromSorted(values, probs)
-}
-
-// convolveDenseStride is convolveDense on the compressed grid
-// base + k·g: when both operands' supports share a stride g > 1, every
-// pair sum lands on the grid and the accumulator needs span/g cells
-// instead of span — a 20 MB cache-thrashing buffer shrinks to a
-// cache-resident one for miss-penalty-aligned supports. The inner loop
-// adds into a contiguous offset-indexed row (ooff is precomputed once,
-// no per-atom division or search), and a cell's contributions arrive in
-// the same ascending-i order as convolveDense, so the choice between
-// the two dense paths can never change an atom's accumulation order.
-func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64) *Dist {
-	buf := make([]float64, cells)
-	ooff := denseOffsets(o, g)
-	for i, vi := range d.values {
-		pi := d.probs[i]
-		row := buf[(uint64(vi)-uint64(d.values[0]))/g:]
-		for j, oj := range ooff {
-			row[oj] += pi * o.probs[j]
-		}
-	}
-	cnt := 0
-	for _, p := range buf {
-		if p > 0 {
-			cnt++
-		}
-	}
-	values := make([]int64, 0, cnt)
-	probs := make([]float64, 0, cnt)
-	for k, p := range buf {
-		if p > 0 {
-			// Exact even when k·g alone exceeds int64: the sum is
-			// computed mod 2^64 and the true value fits (extreme pair
-			// sums were overflow-checked by the caller).
-			values = append(values, int64(uint64(base)+uint64(k)*g))
-			probs = append(probs, p)
-		}
-	}
-	return fromSorted(values, probs)
-}
-
-// denseOffsets precomputes each atom's cell offset (v - Min) / g.
-func denseOffsets(o *Dist, g uint64) []int {
-	ooff := make([]int, len(o.values))
-	for j, vj := range o.values {
-		ooff[j] = int((uint64(vj) - uint64(o.values[0])) / g)
-	}
-	return ooff
-}
-
 // convolveWorkersSem is Convolve with the work split across up to
 // workers goroutines by partitioning the OUTPUT value range. Every
 // output atom is owned by exactly one partition and accumulates its
 // pair products in the same order the serial path uses (ascending
 // index of the first operand on the dense path, ascending stream index
-// on the k-way path), so the result is byte-identical to Convolve for every worker
-// count and every partitioning — the property ConvolveAll's worker
-// independence rests on (asserted by TestConvolveWorkersByteIdentical
-// and FuzzConvolveWorkers). Small convolutions and degenerate operands
-// fall through to the serial implementation. Helper goroutines are
-// drawn from sem (see parallelFor); a nil sem spawns them
-// unconditionally.
+// on the k-way path), so the result is byte-identical to Convolve for
+// every worker count and every partitioning — the property
+// ConvolveAll's worker independence rests on (asserted by
+// TestConvolveWorkersByteIdentical, TestConvolveBandOracle and
+// FuzzConvolveWorkers). Small convolutions, degenerate operands
+// and workers <= 1 run serially. Helper goroutines are drawn from sem
+// (see parallelFor); a nil sem spawns them unconditionally.
 //
 // The split pays on the heavy 256-set tails: on the repo benchmark's
 // tail-warm workload (2 CPUs), removing intra-merge splitting raised
 // latency_tail_ms by ~31%, past the benchmark's bound, so the path
 // stays even though a replay of isolated reductions reads no speedup.
 func convolveWorkersSem(d *Dist, o *Dist, workers int, sem chan struct{}) *Dist {
-	n, m := len(d.values), len(o.values)
-	if workers <= 1 || n == 1 || m == 1 || n*m < minSplitPairs {
-		return d.Convolve(o)
+	if checkEnabled {
+		d.check("Convolve operand")
+		o.check("Convolve operand")
 	}
+	n, m := len(d.values), len(o.values)
 	checkSumOverflow(d.values[0], o.values[0])
 	checkSumOverflow(d.values[n-1], o.values[m-1])
+	if n == 1 {
+		// P(X = v) = 1: the sum is o shifted by v, scaled by the
+		// (unit) mass.
+		return o.Shift(d.values[0])
+	}
+	if m == 1 {
+		return d.Shift(o.values[0])
+	}
+	if n*m < minSplitPairs {
+		workers = 1
+	}
 	base := d.values[0] + o.values[0]
+	// The span is handled as diff = span - 1 in uint64: the difference
+	// of the two extreme sums always fits there even when it exceeds
+	// MaxInt64 — including the extreme case where it is 2^64 - 1 and
+	// span itself would wrap to 0.
 	diff := uint64(d.values[n-1]+o.values[m-1]) - uint64(base)
-	if diff < uint64(denseLimit(n*m)) {
-		if diff >= minStrideCells {
-			if g := strideGCD(d, o); g > 1 {
-				return d.convolveDenseStridePar(o, base, int(diff/g)+1, g, workers, sem)
-			}
+	var out *Dist
+	outer, inner := d, o // outer's ascending index orders each cell's sum
+	if g := strideGCD(d, o); diff/g < uint64(denseLimit(n*m)) {
+		out = d.convolveDenseStride(o, base, int(diff/g)+1, g, workers, sem)
+	} else {
+		if n > m {
+			outer, inner = o, d // the k-way merge streams the smaller operand
 		}
-		return d.convolveDensePar(o, base, int(diff)+1, workers, sem)
-	}
-	if g := strideGCD(d, o); g > 1 {
-		if cells := diff/g + 1; cells <= uint64(denseLimit(n*m)) {
-			return d.convolveDenseStridePar(o, base, int(cells), g, workers, sem)
+		if workers <= 1 || diff >= 1<<62 {
+			// diff >= 1<<62 is an astronomically wide span: partition
+			// arithmetic would not fit int64; such inputs are degenerate
+			// for the pipeline anyway.
+			out = d.convolveKWay(o)
+		} else {
+			out = d.convolveKWayPar(o, base, int64(diff), workers, sem)
 		}
 	}
-	if diff >= 1<<62 {
-		// Astronomically wide span: partition arithmetic would not fit
-		// int64; the serial k-way merge handles it, and such inputs
-		// are degenerate for the pipeline anyway.
-		return d.convolveKWay(o)
+	if checkEnabled && n*m <= checkPlainPairs {
+		checkPlain(out, outer, inner)
 	}
-	return d.convolveKWayPar(o, base, int64(diff), workers, sem)
+	return out
 }
 
 // minSplitPairs is the pair count under which splitting a convolution
@@ -264,104 +177,209 @@ func convolveWorkersSem(d *Dist, o *Dist, workers int, sem chan struct{}) *Dist 
 // convolveWorkersSem).
 const minSplitPairs = 1 << 16
 
-// convolveDensePar is convolveDense with the output span partitioned
-// into contiguous chunks, each filled by one task. A cell's
-// contributions still arrive in ascending i order — identical to the
-// serial loop — because each chunk scans i ascending and a given (i,
-// cell) pair determines j uniquely.
-func (d *Dist) convolveDensePar(o *Dist, base int64, span, workers int, sem chan struct{}) *Dist {
-	buf := make([]float64, span)
-	chunks := workers * 4
-	if chunks > span {
-		chunks = span
-	}
-	bound := func(c int) int { return int(int64(span) * int64(c) / int64(chunks)) }
-	parallelFor(chunks, workers, sem, func(c int) {
-		lo, hi := int64(bound(c)), int64(bound(c+1))
-		for i, vi := range d.values {
-			off := vi - base // cell = off + vj, always in [0, span)
-			pi := d.probs[i]
-			jlo := sort.Search(len(o.values), func(j int) bool { return off+o.values[j] >= lo })
-			for j := jlo; j < len(o.values); j++ {
-				cell := off + o.values[j]
-				if cell >= hi {
-					break
-				}
-				buf[cell] += pi * o.probs[j]
-			}
-		}
-	})
-	return extractDensePar(buf, base, 1, chunks, workers, bound, sem)
-}
-
-// extractDensePar turns a dense cell buffer into a Dist in parallel:
-// count per chunk, prefix offsets, fill. Cell k holds value
-// base + k·g. Chunks write disjoint output ranges, so the result is
-// independent of scheduling.
-func extractDensePar(buf []float64, base int64, g uint64, chunks, workers int, bound func(int) int, sem chan struct{}) *Dist {
-	counts := make([]int, chunks)
-	parallelFor(chunks, workers, sem, func(c int) {
-		cnt := 0
-		for _, p := range buf[bound(c):bound(c+1)] {
-			if p > 0 {
-				cnt++
-			}
-		}
-		counts[c] = cnt
-	})
-	total := 0
-	offs := make([]int, chunks+1)
-	for c, cnt := range counts {
-		offs[c] = total
-		total += cnt
-	}
-	offs[chunks] = total
-	values := make([]int64, total)
-	probs := make([]float64, total)
-	parallelFor(chunks, workers, sem, func(c int) {
-		w := offs[c]
-		lo := bound(c)
-		for k, p := range buf[lo:bound(c+1)] {
-			if p > 0 {
-				values[w] = int64(uint64(base) + uint64(lo+k)*g)
-				probs[w] = p
-				w++
-			}
-		}
-	})
-	return fromSorted(values, probs)
-}
-
-// convolveDenseStridePar is convolveDenseStride with the cell range
-// partitioned into contiguous chunks, each filled by one task — the
-// stride twin of convolveDensePar, with the same byte-identity
-// argument: a cell's contributions arrive in ascending i order
-// whatever the partition, because each chunk scans i ascending and a
-// given (i, cell) pair determines j uniquely.
-func (d *Dist) convolveDenseStridePar(o *Dist, base int64, cells int, g uint64, workers int, sem chan struct{}) *Dist {
+// convolveDenseStride accumulates the pair products into a buffer of
+// cells grid cells, cell k holding value base + k·g (g = 1 is the plain
+// value offset). The kernel is one row loop (bandedOperand.accumulate):
+// the serial path runs it over the whole buffer, the parallel path
+// with the cell range partitioned into contiguous chunks, one task
+// each. A cell's contributions arrive in ascending i order either way —
+// each chunk scans i ascending and a given (i, cell) pair determines j
+// uniquely — so the result is byte-identical for every worker count.
+func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64, workers int, sem chan struct{}) *Dist {
 	buf := make([]float64, cells)
-	ooff := denseOffsets(o, g)
+	var ob bandedOperand
+	ob.init(o, g)
+	if workers <= 1 {
+		ob.accumulate(d, g, buf, 0, cells)
+		values := make([]int64, countCells(buf))
+		probs := make([]float64, len(values))
+		fillCells(buf, 0, base, g, values, probs)
+		return fromSorted(values, probs)
+	}
+	return ob.convolvePar(d, buf, base, g, workers, sem)
+}
+
+// convolvePar is the parallel half of convolveDenseStride: accumulate,
+// count and extract per chunk. Chunks write disjoint cell and output
+// ranges, so the result is independent of scheduling. The operand
+// layout is copied so only this path's closures move it to the heap.
+func (b *bandedOperand) convolvePar(d *Dist, buf []float64, base int64, g uint64, workers int, sem chan struct{}) *Dist {
+	ob := *b
+	cells := len(buf)
 	chunks := workers * 4
 	if chunks > cells {
 		chunks = cells
 	}
 	bound := func(c int) int { return int(int64(cells) * int64(c) / int64(chunks)) }
+	counts := make([]int, chunks+1)
 	parallelFor(chunks, workers, sem, func(c int) {
-		lo, hi := bound(c), bound(c+1)
-		for i, vi := range d.values {
-			di := int((uint64(vi) - uint64(d.values[0])) / g)
-			pi := d.probs[i]
-			jlo := sort.Search(len(ooff), func(j int) bool { return di+ooff[j] >= lo })
-			for j := jlo; j < len(ooff); j++ {
-				cell := di + ooff[j]
-				if cell >= hi {
-					break
+		ob.accumulate(d, g, buf, bound(c), bound(c+1))
+		counts[c+1] = countCells(buf[bound(c):bound(c+1)])
+	})
+	for c := 1; c <= chunks; c++ {
+		counts[c] += counts[c-1]
+	}
+	values := make([]int64, counts[chunks])
+	probs := make([]float64, counts[chunks])
+	parallelFor(chunks, workers, sem, func(c int) {
+		lo, hi := counts[c], counts[c+1]
+		fillCells(buf[bound(c):bound(c+1)], bound(c), base, g, values[lo:hi], probs[lo:hi])
+	})
+	return fromSorted(values, probs)
+}
+
+// countCells returns the number of nonzero cells.
+func countCells(cells []float64) int {
+	cnt := 0
+	for _, p := range cells {
+		if p > 0 {
+			cnt++
+		}
+	}
+	return cnt
+}
+
+// fillCells writes the nonzero cells of cells, the first of which is
+// grid cell first, as atoms into values and probs (sized to their
+// count). Cell k holds value base + k·g — exact even when k·g alone
+// exceeds int64: the sum is computed mod 2^64 and the true value fits
+// (extreme pair sums were overflow-checked by the caller).
+func fillCells(cells []float64, first int, base int64, g uint64, values []int64, probs []float64) {
+	w := 0
+	for k, p := range cells {
+		if p > 0 {
+			values[w] = int64(uint64(base) + uint64(first+k)*g)
+			probs[w] = p
+			w++
+		}
+	}
+}
+
+// expBandShift sets the width of an exponent band of bandedOperand:
+// atoms whose biased exponent fields agree above the low 6 bits — 64
+// binades — share a band, so a probability range from 1 down to the
+// smallest subnormal spans at most 17 bands.
+const (
+	expBandShift = 6
+	maxExpBands  = 2048 >> expBandShift
+)
+
+// bandAtom is one atom of the column operand: its grid cell offset
+// (v - Min)/g and its probability.
+type bandAtom struct {
+	off  int
+	prob float64
+}
+
+// expBand is one nonempty exponent band: atoms[lo:hi], whose exponent
+// fields lie in [emin, emax].
+type expBand struct {
+	lo, hi     int
+	emin, emax int
+}
+
+// bandedOperand is the column operand o of a dense convolution with
+// its atoms grouped into binary-exponent bands, each band sorted by
+// cell offset. Against one row x, a whole band is hardware when its
+// emin is, zero when its emax is (classifyPair is monotone), and only
+// the few bands straddling a class cut need a per-pair class: the
+// kernel runs most bands branch-free or skips them outright. In those
+// few bands a pair whose product the cell would absorb is skipped
+// before any multiply (see absorbed). Inside a
+// row the order in which bands visit their cells is free, because a
+// row adds at most one product to each cell (cell = di + off is
+// injective in the atom); across rows the order stays ascending i.
+//
+// The band layout is a single allocation; the band table is a fixed
+// array.
+type bandedOperand struct {
+	atoms  []bandAtom
+	bands  [maxExpBands]expBand
+	nb     int
+	maxOff int
+}
+
+// init lays out o's atoms in bands, heaviest binades first, ascending
+// offset within a band (a counting sort by band that keeps atom
+// order).
+func (b *bandedOperand) init(o *Dist, g uint64) {
+	var count [maxExpBands]int
+	for _, p := range o.probs {
+		count[expField(p)>>expBandShift]++
+	}
+	var slot [maxExpBands]int
+	pos := 0
+	for k := maxExpBands - 1; k >= 0; k-- {
+		if count[k] == 0 {
+			continue
+		}
+		slot[k] = b.nb
+		// hi starts at lo and serves as the band's write cursor.
+		b.bands[b.nb] = expBand{lo: pos, hi: pos, emin: math.MaxInt, emax: 0}
+		b.nb++
+		pos += count[k]
+	}
+	b.atoms = make([]bandAtom, len(o.probs))
+	v0 := o.values[0]
+	for j, p := range o.probs {
+		e := expField(p)
+		bd := &b.bands[slot[e>>expBandShift]]
+		b.atoms[bd.hi] = bandAtom{off: int((uint64(o.values[j]) - uint64(v0)) / g), prob: p}
+		bd.hi++
+		bd.emin = min(bd.emin, e)
+		bd.emax = max(bd.emax, e)
+	}
+	b.maxOff = int((uint64(o.values[len(o.values)-1]) - uint64(v0)) / g)
+}
+
+// accumulate is the dense row kernel: for every row i of d in
+// ascending order it adds x·q for each column atom q into cell
+// di + off, restricted to the cell window [lo, hi) of buf. Per band,
+// the atoms whose cells fall in the window are a contiguous run
+// [s, e) whose cursors only move down as i (and with it di) grows.
+func (b *bandedOperand) accumulate(d *Dist, g uint64, buf []float64, lo, hi int) {
+	var s, e [maxExpBands]int
+	for k := 0; k < b.nb; k++ {
+		s[k], e[k] = b.bands[k].hi, b.bands[k].hi
+	}
+	v0 := d.values[0]
+	for i, vi := range d.values {
+		di := int((uint64(vi) - uint64(v0)) / g)
+		if di >= hi {
+			break
+		}
+		if di+b.maxOff < lo {
+			continue
+		}
+		x := d.probs[i]
+		ex := expField(x)
+		row := buf[di:]
+		for k := 0; k < b.nb; k++ {
+			bd := &b.bands[k]
+			for s[k] > bd.lo && b.atoms[s[k]-1].off >= lo-di {
+				s[k]--
+			}
+			for e[k] > s[k] && b.atoms[e[k]-1].off >= hi-di {
+				e[k]--
+			}
+			atoms := b.atoms[s[k]:e[k]]
+			switch {
+			case len(atoms) == 0:
+			case classifyPair(ex, bd.emin) == pairHardware:
+				for _, a := range atoms {
+					row[a.off] += x * a.prob
 				}
-				buf[cell] += pi * o.probs[j]
+			case classifyPair(ex, bd.emax) == pairZero:
+				// Every product rounds to +0: nothing to add.
+			default:
+				for _, a := range atoms {
+					if c := &row[a.off]; !absorbed(ex+expField(a.prob), expField(*c)) {
+						*c += mulProb(x, a.prob)
+					}
+				}
 			}
 		}
-	})
-	return extractDensePar(buf, base, g, chunks, workers, bound, sem)
+	}
 }
 
 // convolveKWayPar runs the k-way merge with the output sum range
@@ -464,7 +482,7 @@ func (d *Dist) mergeKWayRange(o *Dist, lo, hi int64, sizeHint int) ([]int64, []f
 	for len(h) > 0 {
 		top := h[0]
 		i := int(top.i)
-		p := d.probs[i] * o.probs[ptr[i]]
+		p := mulProb(d.probs[i], o.probs[ptr[i]])
 		if last := len(values) - 1; last >= 0 && values[last] == top.sum {
 			probs[last] += p
 		} else if p > 0 {

@@ -88,8 +88,8 @@ func TestConvolvePathAgreement(t *testing.T) {
 		// Span just past the stride threshold on a shared coarse grid:
 		// the stride-compressed dense path.
 		{"stride-grid", mk(40, 100, 0), mk(40, 100, 200)},
-		// Boundary: raw span straddling minStrideCells with gcd 1
-		// (stride compression unavailable, plain dense must cope).
+		// Boundary: a raw span of 2^15 cells with gcd 1 (stride
+		// compression unavailable, plain dense must cope).
 		{"boundary-gcd1", mk(64, 97, 0), subUnit([]int64{0, 1, 1 << 14}, []float64{1, 1, 1}, 1)},
 		// Wide span, no common stride: the k-way heap merge.
 		{"wide-kway", mk(24, 1_000_003, 0), mk(24, 999_983, 17)},
@@ -179,8 +179,8 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 		if g < 2 {
 			t.Fatalf("stride %d: corpus bug: no common stride (gcd %d)", stride, g)
 		}
-		plain := a.convolveDense(b, base, span+1)
-		strided := a.convolveDenseStride(b, base, span/int(g)+1, g)
+		plain := a.convolveDenseStride(b, base, span+1, 1, 1, nil)
+		strided := a.convolveDenseStride(b, base, span/int(g)+1, g, 1, nil)
 		if plain.Len() != strided.Len() {
 			t.Fatalf("stride %d: support sizes differ: %d vs %d", stride, plain.Len(), strided.Len())
 		}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -140,10 +141,18 @@ func TestBuildMergePlanSkewedSizes(t *testing.T) {
 
 // FuzzConvolveWorkers feeds arbitrary operand pairs to the
 // range-partitioned convolution and checks byte-identity against the
-// serial path with the split threshold out of the way.
+// serial path with the split threshold out of the way, and of both
+// against the plain loop. Probabilities are decoded as binary
+// exponents from 2^0 down to 2^-1071, so pair products reach every
+// product class, subnormals included.
 func FuzzConvolveWorkers(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(3), false)
 	f.Add([]byte{200, 1, 200, 2, 200, 3, 200, 4}, uint8(7), true)
+	// Probabilities of 2^-1054, 2^-1071 and 2^-850 next to ones near 1:
+	// band-class products on both paths.
+	band := []byte{3, 250, 5, 1, 7, 200, 2, 0, 9, 255, 4, 130, 1, 60, 6, 240}
+	f.Add(band, uint8(2), false)
+	f.Add(band, uint8(5), true)
 	f.Fuzz(func(t *testing.T, data []byte, workers8 uint8, wide bool) {
 		workers := 2 + int(workers8%7)
 		stride := int64(1)
@@ -154,7 +163,8 @@ func FuzzConvolveWorkers(f *testing.F) {
 		v := int64(0)
 		for len(data) >= 2 {
 			v += (1 + int64(data[0])%17) * stride
-			pts = append(pts, Point{Value: v, Prob: float64(1+int(data[1])%9) / 16})
+			prob := math.Ldexp(1+float64(data[1]&3)/4, -17*int(data[1]>>2))
+			pts = append(pts, Point{Value: v, Prob: prob})
 			data = data[2:]
 		}
 		if len(pts) < 4 {
@@ -177,21 +187,29 @@ func FuzzConvolveWorkers(f *testing.F) {
 			return d
 		}
 		a, b := norm(pts[:half]), norm(pts[half:])
-		want := a.Convolve(b)
 		// Exercise the split paths directly, bypassing the size
-		// threshold (convolveDensePar / convolveKWayPar are what the
-		// fuzzer must break).
+		// threshold (the chunked convolveDenseStride and convolveKWayPar
+		// are what the fuzzer must break), against the serial run of the
+		// same path and the plain loop summing in that path's order.
 		n, m := a.Len(), b.Len()
 		base := a.Min() + b.Min()
 		diff := uint64(a.Max()+b.Max()) - uint64(base)
-		var got *Dist
+		var got, want, plain *Dist
 		if diff < uint64(denseLimit(n*m)) {
-			got = a.convolveDensePar(b, base, int(diff)+1, workers, nil)
+			got = a.convolveDenseStride(b, base, int(diff)+1, 1, workers, nil)
+			want = a.Convolve(b)
+			plain = plainConvolve(a, b)
 		} else if diff < 1<<62 && a.Max()+b.Max() != int64(^uint64(0)>>1) {
 			got = a.convolveKWayPar(b, base, int64(diff), workers, nil)
+			want = a.convolveKWay(b)
+			plain = plainConvolve(a, b)
+			if n > m {
+				plain = plainConvolve(b, a)
+			}
 		} else {
 			return
 		}
+		assertSameAtoms(t, "serial vs plain loop", want, plain)
 		if got.Len() != want.Len() {
 			t.Fatalf("workers=%d: support %d, want %d", workers, got.Len(), want.Len())
 		}
