@@ -1,6 +1,9 @@
 package absint
 
 import (
+	"sync/atomic"
+	"unsafe"
+
 	"repro/internal/cache"
 	"repro/internal/chmc"
 	"repro/internal/program"
@@ -9,22 +12,24 @@ import (
 // Analyzer runs the cache analyses of one program against one cache
 // configuration. It precomputes the reference lists, a reverse
 // post-order of the CFG and a per-set reference index (see index.go);
-// individual sets can then be (re-)classified at arbitrary effective
-// associativities, which the Fault Miss Map uses to model sets with f
-// faulty ways. An Analyzer is safe for concurrent use.
+// individual sets can then be classified at any effective
+// associativity up to Ways, which the Fault Miss Map uses to model
+// sets with f faulty ways. An Analyzer is safe for concurrent use.
 //
-// The classification fixpoints run on the compact per-set domain of
-// domain_compact.go by default. NewReference/NewDataReference retain
-// the original map-based domain (domain.go) as the reference
-// implementation the compact path is differentially tested against.
+// One fixpoint per set on the compact domain of domain_compact.go
+// serves every associativity (fillLevels). NewReference and
+// NewDataReference retain the map-based domain (domain.go), one
+// fixpoint per associativity, as the reference the compact path is
+// tested against.
 type Analyzer struct {
-	p     *program.Program
-	cfg   cache.Config
-	perBB [][]Ref
-	all   []Ref
-	rpo   []int
-	sets  []setIndex
-	ref   bool
+	p          *program.Program
+	cfg        cache.Config
+	perBB      [][]Ref
+	all        []Ref
+	rpo        []int
+	sets       []setIndex
+	ref        bool
+	levelBytes atomic.Int64 // bytes of the filled setIndex.levels
 }
 
 // New builds an analyzer of the program's instruction fetches against
@@ -107,9 +112,10 @@ func (a *Analyzer) ClassifyAll() []chmc.Class {
 }
 
 // ClassifySet classifies the references mapping to one cache set at the
-// given effective associativity (W - f for f faulty ways). Entries for
-// references of other sets are NotClassified and must be ignored by the
-// caller. assoc == 0 yields AlwaysMiss for every reference of the set.
+// given effective associativity (W - f for f faulty ways), 0 <= assoc
+// <= Ways. Entries for references of other sets are NotClassified and
+// must be ignored by the caller. assoc == 0 yields AlwaysMiss for every
+// reference of the set.
 func (a *Analyzer) ClassifySet(set, assoc int) []chmc.Class {
 	out := make([]chmc.Class, len(a.all))
 	for i := range out {
@@ -124,7 +130,7 @@ func (a *Analyzer) ClassifySet(set, assoc int) []chmc.Class {
 // set is (re)written — NotClassified included — while entries of other
 // sets are left untouched. Reusing one buffer across the W fault
 // counts of a set (and across sets) is what keeps the FMM's S*W
-// reclassifications allocation-free; the caller must only ever read
+// classifications allocation-free; the caller must only ever read
 // the entries of the set it just classified.
 func (a *Analyzer) ClassifySetInto(out []chmc.Class, set, assoc int) {
 	for _, r := range a.sets[set].refs {
@@ -141,42 +147,44 @@ func (a *Analyzer) classifySetInto(out []chmc.Class, set, assoc int) {
 		a.classifySetIntoReference(out, set, assoc)
 		return
 	}
-	a.classifySetIntoCompact(out, set, assoc)
-}
-
-// classifySetIntoCompact runs the per-set fixpoint and classification
-// sweep on the compact domain over the set's local block universe.
-func (a *Analyzer) classifySetIntoCompact(out []chmc.Class, set, assoc int) {
 	ix := &a.sets[set]
-	if len(ix.refs) == 0 {
-		return
-	}
 	if assoc <= 0 {
 		for _, r := range ix.refs {
 			out[r.Global] = chmc.AlwaysMiss
 		}
 		return
 	}
+	ix.once.Do(func() { a.fillLevels(ix) })
+	for _, l := range ix.levels {
+		out[l.global] = l.class(assoc)
+	}
+}
 
+// fillLevels runs the set's one fixpoint, at full associativity W, and
+// records the level of every reference of the set in reachable code.
+// It serves every A <= W: under LRU the A-way state is the image of the
+// W-way one under the map that drops Must/May entries of age >= A and
+// saturates younger sets of size >= A, a map that keeps the bottom and
+// entry states and commutes with join and access (ages and set sizes
+// only grow), so the A-way fixpoint is the image of the W-way one.
+func (a *Analyzer) fillLevels(ix *setIndex) {
+	if len(ix.refs) == 0 {
+		return
+	}
+	assoc := a.cfg.Ways
 	outStates := a.fixpointCompact(ix, assoc)
 
 	// Classification sweep: only blocks holding references of this set
 	// matter, and the groups list them in reverse post-order already.
+	ix.levels = make([]refLevel, 0, len(ix.refs))
 	for gi := range ix.groups {
 		g := &ix.groups[gi]
 		in := a.inStateCompact(outStates, int(g.bb), assoc, ix)
-		if !in.reached {
-			// Unreachable code never executes; AlwaysMiss is the
-			// conservative (and irrelevant) classification.
-			for _, lr := range g.refs {
-				out[lr.global] = chmc.AlwaysMiss
-			}
-			ix.pool.Put(in)
-			continue
-		}
 		for _, lr := range g.refs {
-			out[lr.global] = classifyCompact(in, lr.local, assoc)
-			in.access(lr.local, assoc)
+			ix.levels = append(ix.levels, in.level(lr.global, lr.local))
+			if in.reached {
+				in.access(lr.local, assoc)
+			}
 		}
 		ix.pool.Put(in)
 	}
@@ -185,6 +193,7 @@ func (a *Analyzer) classifySetIntoCompact(out []chmc.Class, set, assoc int) {
 			ix.pool.Put(st)
 		}
 	}
+	a.levelBytes.Add(int64(cap(ix.levels)) * int64(unsafe.Sizeof(refLevel{})))
 }
 
 // fixpointCompact iterates the three analyses for one set to a fixpoint

@@ -8,12 +8,15 @@ package absint
 // universe, so a fixpoint iteration costs a few linear scans instead of
 // map iteration, hashing and per-entry allocation.
 //
-// The map-based domain in domain.go is retained as the reference
-// implementation; TestCompactDomainMatchesReference checks, on random
-// programs and the Mälardalen benchmarks, that both produce identical
-// classifications for every (set, associativity).
+// It runs at full associativity only; smaller ones are read off the
+// recorded refLevels. The map-based domain in domain.go is retained as
+// the reference implementation; TestCompactDomainMatchesReference* and
+// FuzzCompactMatchesReference check, on random programs and the
+// Mälardalen benchmarks, that both produce identical classifications
+// for every (set, associativity).
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/chmc"
@@ -227,19 +230,42 @@ func (s *cstate) equal(o *cstate) bool {
 	return true
 }
 
-// classifyCompact derives the CHMC of an access to local block m from
-// the pre-state — the compact twin of classify().
-func classifyCompact(st *cstate, m int32, assoc int) chmc.Class {
+// never is a level threshold no associativity reaches.
+const never = math.MaxInt16
+
+// refLevel is the W-way pre-state of one reference to block m, reduced
+// to what its class at associativity 1 <= A <= W reads (see
+// Analyzer.fillLevels): m is in the A-way Must (May) state iff its W-way
+// age must (may) is in [0, A), and m's A-way younger set is absent or
+// unsaturated iff pers < A (-1: absent; never: saturated or unreached).
+type refLevel struct {
+	global          int32
+	must, pers, may int16
+}
+
+// level records the pre-state of an access to local block m. An
+// unreached state is empty (all ages -1), so it classifies AlwaysMiss.
+func (s *cstate) level(global, m int32) refLevel {
+	l := refLevel{global: global, must: s.must[m], pers: never, may: s.may[m]}
 	switch {
-	case st.must[m] >= 0:
+	case !s.reached:
+	case !s.persIn[m]:
+		l.pers = -1
+	case !s.persSat[m]:
+		l.pers = s.persSize[m]
+	}
+	return l
+}
+
+// class derives the CHMC at associativity 1 <= assoc <= W, testing in
+// the order of classify().
+func (l refLevel) class(assoc int) chmc.Class {
+	switch {
+	case l.must >= 0 && int(l.must) < assoc:
 		return chmc.AlwaysHit
-	case !st.persIn[m]:
-		// No path has loaded m before this point, so the reference
-		// executes at most once per run: at most one miss.
+	case int(l.pers) < assoc:
 		return chmc.FirstMiss
-	case !st.persSat[m]:
-		return chmc.FirstMiss
-	case st.may[m] < 0:
+	case l.may < 0 || int(l.may) >= assoc:
 		return chmc.AlwaysMiss
 	default:
 		return chmc.NotClassified

@@ -46,6 +46,8 @@ type setIndex struct {
 	groups []refGroup
 	words  int // uint64 words per younger-set bitset row
 	pool   *sync.Pool
+	once   sync.Once  // fills levels on the set's first classification
+	levels []refLevel // one per reference in reachable code
 }
 
 // localOf returns the local id of a block in the set's universe.

@@ -4,12 +4,12 @@ import "unsafe"
 
 // MemBytes estimates the resident heap bytes of the analyzer: the
 // reference lists (global and per-block), the reverse post-order and
-// the per-set index (per-set reference copies, block universes and
-// fixpoint sweep groups). Transient fixpoint state parked in the
-// per-set pools is deliberately not counted — it is reclaimable scratch,
-// not part of the memoized artifact. The estimate feeds the engine's
-// LRU eviction budget (core.EngineOptions.MaxArtifactBytes); relative
-// consistency matters, byte exactness does not.
+// the per-set index (reference copies, block universes, fixpoint sweep
+// groups and the levels filled so far). Transient fixpoint state parked
+// in the per-set pools is deliberately not counted — it is reclaimable
+// scratch, not part of the memoized artifact. The estimate feeds the
+// engine's LRU eviction budget (core.EngineOptions.MaxArtifactBytes);
+// relative consistency matters, byte exactness does not.
 func (a *Analyzer) MemBytes() int64 {
 	const (
 		wordBytes        = 8
@@ -33,5 +33,5 @@ func (a *Analyzer) MemBytes() int64 {
 			b += int64(cap(g.refs)) * localRefBytes
 		}
 	}
-	return b
+	return b + a.levelBytes.Load()
 }

@@ -13,9 +13,9 @@
 //     the only cache in the system.
 //
 // Because LRU sets are mutually independent, each cache set is analyzed
-// separately; degraded sets (with f faulty ways) are re-analyzed at
-// effective associativity W-f without touching other sets, which is what
-// the Fault Miss Map computation needs.
+// separately; degraded sets (with f faulty ways) are classified at
+// effective associativity W-f, which is what the Fault Miss Map needs,
+// from the set's one full-associativity fixpoint (Analyzer.fillLevels).
 package absint
 
 import (

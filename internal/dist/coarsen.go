@@ -14,23 +14,23 @@
 //
 // # CoarsenLeastError (default)
 //
-// Greedy adjacent merge by least exceedance-curve error. Merging atom i
-// upward into its right neighbor j raises the exceedance curve by
+// Greedy adjacent merge by least exceedance-curve error. Merging atom
+// i upward into its right neighbor j raises the exceedance curve by
 // exactly mass(i) on the interval [v_i, v_j) and nowhere else, adding
 // area mass(i)·(v_j − v_i) between the coarse and exact curves. The
 // scheme repeatedly merges the adjacent pair with the smallest such
-// incremental area (a heap over candidate pairs with lazy
-// invalidation, O(n log n)), so light, closely spaced atoms — the deep
-// tail dust of a convolved fault distribution — collapse locally
-// instead of being flung to the support maximum. The total area added
-// to the exceedance curve is the sum of the chosen incremental costs;
-// each individual exceedance probability grows by at most the mass
-// merged across its threshold, and a quantile read at probability p
-// grows by at most the span of the merged run that straddles the exact
-// quantile. In the pWCET pipeline this keeps the deep-tail quantiles
-// (the 1e-9..1e-15 certification targets) within a small factor of the
-// uncapped-exact values even when the cap binds hard (pinned within 2x
-// at 1e-12 on a 256-set configuration by TestCoarsenLeastErrorTailFidelity).
+// incremental area (an indexed heap over candidate pairs, O(n log n)),
+// so light, closely spaced atoms — the deep tail dust of a convolved
+// fault distribution — collapse locally instead of being flung to the
+// support maximum. The total area added to the exceedance curve is the
+// sum of the chosen incremental costs; each individual exceedance
+// probability grows by at most the mass merged across its threshold,
+// and a quantile read at probability p grows by at most the span of
+// the merged run that straddles the exact quantile. In the pWCET
+// pipeline this keeps the deep-tail quantiles (the 1e-9..1e-15
+// certification targets) within a small factor of the uncapped-exact
+// values even when the cap binds hard (pinned within 2x at 1e-12 on a
+// 256-set configuration by TestCoarsenLeastErrorTailFidelity).
 //
 // # CoarsenKeepHeaviest (legacy)
 //
@@ -151,30 +151,20 @@ func (d *Dist) CoarsenToWith(maxSupport int, strategy CoarsenStrategy) *Dist {
 	}
 }
 
-// mergeCand is one candidate adjacent merge: atom left into its
-// current right neighbor, at the exceedance-area cost recorded when
-// the candidate was pushed. Stale candidates (the pair changed since)
-// are recognized by the version stamp and skipped on pop.
-//
-// Candidates live in a flat min-heap ordered by (cost, left) —
-// maintained with the package's shared siftDownFunc instead of
-// container/heap, whose interface methods box every popped element.
-// The in-tree coarsening of ConvolveAll runs this engine at every big
-// merge node, so the heap is on the reduction's critical path.
-type mergeCand struct {
+// mergeSlot is one candidate adjacent merge: atom left into its current
+// right neighbor, at the exceedance-area cost of that merge. The
+// in-tree coarsening of ConvolveAll runs this engine at every big merge
+// node, so its heap (mergeHeap, not container/heap, whose interface
+// methods box every element) is on the reduction's critical path.
+type mergeSlot struct {
 	cost float64
-	left int
-	ver  uint32
+	left int32
 }
 
-// mergeCandLess orders candidates by cost, ties broken by the left
-// index so the merge sequence — and therefore the result — is
-// deterministic.
-func mergeCandLess(a, b mergeCand) bool {
-	if a.cost != b.cost {
-		return a.cost < b.cost
-	}
-	return a.left < b.left
+// less orders candidates by cost, ties broken by the left index so the
+// merge sequence — and therefore the result — is deterministic.
+func (a mergeSlot) less(b mergeSlot) bool {
+	return a.cost < b.cost || (a.cost == b.cost && a.left < b.left)
 }
 
 // coarsenLeastError implements CoarsenLeastError: the capped engine
@@ -185,8 +175,8 @@ func (d *Dist) coarsenLeastError(target int) *Dist {
 }
 
 // coarsenLeastErrorCapped is the greedy least-error merge engine: a
-// doubly linked list of live atoms plus a lazily invalidated min-heap
-// of adjacent-pair merge costs. Each merge moves the left atom's
+// doubly linked list of live atoms plus an indexed min-heap of
+// adjacent-pair merge costs. Each merge moves the left atom's
 // (accumulated) mass to its right neighbor, exactly the upward
 // direction the soundness contract requires; the rightmost atom has no
 // right neighbor, so the support maximum can never move.
@@ -207,11 +197,11 @@ func (d *Dist) coarsenLeastError(target int) *Dist {
 // survivors — the support bound is the contract, the span cap is best
 // effort.
 //
-// Eligibility is checked once, when a candidate is pushed: any change
-// to a pair — partner, accumulated mass, and with it the run's span —
-// bumps ver and re-pushes, so a non-stale candidate's pair is in
-// exactly the state it was pushed in, and maxGap = +Inf short-circuits
-// the check for the classic engine.
+// A merge changes only the pairs on either side of it — the left
+// neighbor's partner, the destination's mass and with it its run's
+// span — and both are re-keyed in place, or deleted once the span cap
+// makes them ineligible, so every pop is a live candidate. maxGap =
+// +Inf short-circuits the check for the classic engine.
 func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 	n := len(d.values)
 	mass := make([]float64, n)
@@ -220,94 +210,55 @@ func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 	for i, v := range d.values {
 		low[i] = float64(v)
 	}
-	next := make([]int, n)
-	prev := make([]int, n)
-	ver := make([]uint32, n)
-	removed := make([]bool, n)
+	next := make([]int32, n)
+	prev := make([]int32, n)
+	h := mergeHeap{slots: make([]mergeSlot, 0, n), pos: make([]int32, n)}
 	for i := range next {
-		next[i] = i + 1
-		prev[i] = i - 1
+		next[i] = int32(i + 1)
+		prev[i] = int32(i - 1)
+		h.pos[i] = -1
 	}
-	h := make([]mergeCand, 0, n)
 	// The gap is computed in float64 (values are sorted, but the int64
 	// difference of two extreme values may not fit int64); the cost is
 	// a merge-ordering heuristic, so the rounding is harmless.
-	append_ := func(i int) {
+	cand := func(i int32) (mergeSlot, bool) {
 		j := next[i]
-		if float64(d.values[j])-low[i] > maxGap {
-			return // run span cap: this merge would travel too far
-		}
-		h = append(h, mergeCand{
-			cost: mass[i] * (float64(d.values[j]) - float64(d.values[i])),
-			left: i,
-			ver:  ver[i],
-		})
+		c := mergeSlot{cost: mass[i] * (float64(d.values[j]) - float64(d.values[i])), left: i}
+		return c, float64(d.values[j])-low[i] <= maxGap // run span cap
 	}
-	push := func(i int) {
-		append_(i)
-		for c := len(h) - 1; c > 0; {
-			p := (c - 1) / 2
-			if !mergeCandLess(h[c], h[p]) {
-				break
-			}
-			h[c], h[p] = h[p], h[c]
-			c = p
-		}
+	for i := int32(0); i < int32(n-1); i++ {
+		h.set(cand(i))
 	}
-	for i := 0; i < n-1; i++ {
-		append_(i)
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownFunc(h, i, mergeCandLess)
-	}
-	pop := func() mergeCand {
-		top := h[0]
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		siftDownFunc(h, 0, mergeCandLess)
-		return top
-	}
-	// Invariant: every live adjacent pair (i, next[i]) whose merge is
-	// span-eligible has at least one heap candidate stamped with the
-	// current ver[i]; any change to the pair (partner or mass) bumps
-	// ver[i] and re-pushes. Without a span cap there is always a live
-	// pair while alive > target >= 1, so the heap runs dry only when
-	// the cap has frozen every remaining pair.
-	alive := n
-	for alive > target && len(h) > 0 {
-		c := pop()
-		if c.ver != ver[c.left] {
-			continue // stale: the pair changed after this candidate was pushed
-		}
-		i := c.left
+	// Without a span cap there is always a live pair while alive >
+	// target >= 1, so the heap runs dry only when the cap has frozen
+	// every remaining pair.
+	head, alive := int32(0), n
+	for alive > target && len(h.slots) > 0 {
+		i := h.slots[0].left
+		h.set(mergeSlot{left: i}, false)
 		j := next[i]
 		mass[j] += mass[i]
 		if low[i] < low[j] {
 			low[j] = low[i]
 		}
-		removed[i] = true
-		ver[i]++ // i is gone: invalidate (i, j)
-		ver[j]++ // j's mass grew: invalidate (j, next[j])
 		if p := prev[i]; p >= 0 {
 			next[p] = j
 			prev[j] = p
-			ver[p]++ // p's partner changed: invalidate (p, i)
-			push(p)
+			h.set(cand(p))
 		} else {
 			prev[j] = -1
+			head = j
 		}
-		if next[j] < n {
-			push(j)
+		if next[j] < int32(n) {
+			h.set(cand(j))
 		}
 		alive--
 	}
 	values := make([]int64, 0, alive)
 	probs := make([]float64, 0, alive)
-	for i := 0; i < n; i++ {
-		if !removed[i] {
-			values = append(values, d.values[i])
-			probs = append(probs, mass[i])
-		}
+	for i := head; i < int32(n); i = next[i] {
+		values = append(values, d.values[i])
+		probs = append(probs, mass[i])
 	}
 	if alive > target {
 		// The span cap ran the heap dry early: finish uncapped on the
@@ -315,6 +266,56 @@ func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 		return fromSorted(values, probs).coarsenLeastError(target)
 	}
 	return fromSorted(values, probs)
+}
+
+// mergeHeap is a binary min-heap of merge candidates indexed by left
+// atom: pos[i] is the slot of atom i's candidate, or -1 if it has none.
+type mergeHeap struct {
+	slots []mergeSlot
+	pos   []int32
+}
+
+// set makes c atom c.left's candidate, inserting or re-keying it in
+// place, or deletes atom c.left's candidate when eligible is false.
+func (h *mergeHeap) set(c mergeSlot, eligible bool) {
+	k := int(h.pos[c.left])
+	switch {
+	case eligible && k < 0:
+		k = len(h.slots)
+		h.slots = append(h.slots, c)
+	case eligible:
+		h.slots[k] = c
+	case k < 0:
+		return
+	default:
+		h.pos[c.left] = -1
+		last := len(h.slots) - 1
+		h.slots[k] = h.slots[last]
+		h.slots = h.slots[:last]
+		if k == last {
+			return
+		}
+	}
+	h.pos[h.slots[k].left] = int32(k)
+	for k > 0 && h.slots[k].less(h.slots[(k-1)/2]) {
+		h.swap(k, (k-1)/2)
+		k = (k - 1) / 2
+	}
+	for c := 2*k + 1; c < len(h.slots); c = 2*k + 1 {
+		if c+1 < len(h.slots) && h.slots[c+1].less(h.slots[c]) {
+			c++
+		}
+		if !h.slots[c].less(h.slots[k]) {
+			return
+		}
+		h.swap(k, c)
+		k = c
+	}
+}
+
+func (h *mergeHeap) swap(a, b int) {
+	h.slots[a], h.slots[b] = h.slots[b], h.slots[a]
+	h.pos[h.slots[a].left], h.pos[h.slots[b].left] = int32(a), int32(b)
 }
 
 // quickselectFloat partially sorts a in place and returns its k-th

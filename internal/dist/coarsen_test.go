@@ -270,3 +270,220 @@ func TestCoarsenLeastErrorTailFidelityInTree(t *testing.T) {
 		}
 	}
 }
+
+// mergeCand is one candidate adjacent merge: atom left into its
+// current right neighbor, at the exceedance-area cost recorded when
+// the candidate was pushed. Stale candidates (the pair changed since)
+// are recognized by the version stamp and skipped on pop.
+//
+// Candidates live in a flat min-heap ordered by (cost, left),
+// maintained with the package's shared siftDownFunc.
+type mergeCand struct {
+	cost float64
+	left int
+	ver  uint32
+}
+
+// mergeCandLess orders candidates by cost, ties broken by the left
+// index so the merge sequence — and therefore the result — is
+// deterministic.
+func mergeCandLess(a, b mergeCand) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
+	}
+	return a.left < b.left
+}
+
+// coarsenLeastErrorLazy is the previous engine of
+// coarsenLeastErrorCapped, kept verbatim as its test oracle (only names,
+// comments and the uncapped rerun, which recurses into the oracle,
+// differ): a doubly linked list of live atoms plus a lazily invalidated
+// min-heap of adjacent-pair merge costs. Each merge moves the left
+// atom's (accumulated) mass to its right neighbor, exactly the upward
+// direction the soundness contract requires; the rightmost atom has no
+// right neighbor, so the support maximum can never move.
+//
+// maxGap additionally bounds every merged run's value span: a merge is
+// eligible only while destination − (smallest value folded into the
+// run) stays within maxGap, so no exceedance quantile — at any
+// probability, however deep in the tail — can inflate by more than
+// maxGap. ConvolveAll's in-tree mode relies on this: its soft passes
+// pre-thin the operands' tail dust, and on such pre-thinned supports
+// the uncapped greedy engine's cost equilibrium rises until it flings
+// whole near-massless tail bands into the support maximum (exactly the
+// keep-heaviest failure mode the least-error scheme exists to avoid).
+// With the cap the engine freezes the already-sparse tail and spends
+// its merges on the dense body instead. When the cap leaves too few
+// eligible merges to reach target (sparse supports clustered wider
+// than maxGap), the engine finishes with one uncapped pass over the
+// survivors — the support bound is the contract, the span cap is best
+// effort.
+//
+// Eligibility is checked once, when a candidate is pushed: any change
+// to a pair — partner, accumulated mass, and with it the run's span —
+// bumps ver and re-pushes, so a non-stale candidate's pair is in
+// exactly the state it was pushed in, and maxGap = +Inf short-circuits
+// the check for the classic engine.
+func (d *Dist) coarsenLeastErrorLazy(target int, maxGap float64) *Dist {
+	n := len(d.values)
+	mass := make([]float64, n)
+	copy(mass, d.probs)
+	low := make([]float64, n) // smallest original value folded into atom i
+	for i, v := range d.values {
+		low[i] = float64(v)
+	}
+	next := make([]int, n)
+	prev := make([]int, n)
+	ver := make([]uint32, n)
+	removed := make([]bool, n)
+	for i := range next {
+		next[i] = i + 1
+		prev[i] = i - 1
+	}
+	h := make([]mergeCand, 0, n)
+	// The gap is computed in float64 (values are sorted, but the int64
+	// difference of two extreme values may not fit int64); the cost is
+	// a merge-ordering heuristic, so the rounding is harmless.
+	append_ := func(i int) {
+		j := next[i]
+		if float64(d.values[j])-low[i] > maxGap {
+			return // run span cap: this merge would travel too far
+		}
+		h = append(h, mergeCand{
+			cost: mass[i] * (float64(d.values[j]) - float64(d.values[i])),
+			left: i,
+			ver:  ver[i],
+		})
+	}
+	push := func(i int) {
+		append_(i)
+		for c := len(h) - 1; c > 0; {
+			p := (c - 1) / 2
+			if !mergeCandLess(h[c], h[p]) {
+				break
+			}
+			h[c], h[p] = h[p], h[c]
+			c = p
+		}
+	}
+	for i := 0; i < n-1; i++ {
+		append_(i)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDownFunc(h, i, mergeCandLess)
+	}
+	pop := func() mergeCand {
+		top := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDownFunc(h, 0, mergeCandLess)
+		return top
+	}
+	// Invariant: every live adjacent pair (i, next[i]) whose merge is
+	// span-eligible has at least one heap candidate stamped with the
+	// current ver[i]; any change to the pair (partner or mass) bumps
+	// ver[i] and re-pushes. Without a span cap there is always a live
+	// pair while alive > target >= 1, so the heap runs dry only when
+	// the cap has frozen every remaining pair.
+	alive := n
+	for alive > target && len(h) > 0 {
+		c := pop()
+		if c.ver != ver[c.left] {
+			continue // stale: the pair changed after this candidate was pushed
+		}
+		i := c.left
+		j := next[i]
+		mass[j] += mass[i]
+		if low[i] < low[j] {
+			low[j] = low[i]
+		}
+		removed[i] = true
+		ver[i]++ // i is gone: invalidate (i, j)
+		ver[j]++ // j's mass grew: invalidate (j, next[j])
+		if p := prev[i]; p >= 0 {
+			next[p] = j
+			prev[j] = p
+			ver[p]++ // p's partner changed: invalidate (p, i)
+			push(p)
+		} else {
+			prev[j] = -1
+		}
+		if next[j] < n {
+			push(j)
+		}
+		alive--
+	}
+	values := make([]int64, 0, alive)
+	probs := make([]float64, 0, alive)
+	for i := 0; i < n; i++ {
+		if !removed[i] {
+			values = append(values, d.values[i])
+			probs = append(probs, mass[i])
+		}
+	}
+	if alive > target {
+		// The span cap ran the heap dry early: finish uncapped on the
+		// survivors so the support bound always holds.
+		return fromSorted(values, probs).coarsenLeastErrorLazy(target, math.Inf(1))
+	}
+	return fromSorted(values, probs)
+}
+
+// oracleSupport draws a strictly sorted support of n atoms for the heap
+// oracle. Modes: 0 spreads probabilities log-uniformly down to
+// subnormals over random gaps; 1 makes every cost equal (unit gaps,
+// equal masses), so the merge order is all tie-breaks; 2 draws masses
+// and gaps from small powers of two, so distinct pairs tie exactly.
+func oracleSupport(rng *rand.Rand, n, mode int) *Dist {
+	values := make([]int64, n)
+	probs := make([]float64, n)
+	v := int64(rng.Intn(10))
+	for i := range values {
+		values[i] = v
+		switch mode {
+		case 0:
+			v += 1 + int64(rng.Intn(200))
+			probs[i] = math.Ldexp(1+rng.Float64(), -rng.Intn(1080)) / float64(2*n)
+		case 1:
+			v++
+			probs[i] = 1 / float64(2*n)
+		default:
+			v += int64(1) << rng.Intn(3)
+			probs[i] = math.Ldexp(1, -rng.Intn(4)) / float64(2*n)
+		}
+		if probs[i] == 0 {
+			probs[i] = math.SmallestNonzeroFloat64
+		}
+	}
+	return fromSorted(values, probs)
+}
+
+// TestCoarsenLeastErrorIndexedHeapMatchesLazy: the indexed heap must
+// reproduce the lazily invalidated heap it replaced bit for bit, on
+// random supports with cost ties, probabilities down to subnormals,
+// zero and tight span caps (including caps that run the heap dry and
+// force the uncapped rerun) and every target from 1 to n-1.
+func TestCoarsenLeastErrorIndexedHeapMatchesLazy(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for iter := 0; iter < 3000; iter++ {
+		mode := iter % 3
+		d := oracleSupport(rng, 2+rng.Intn(200), mode)
+		n := d.Len()
+		target := 1 + rng.Intn(n-1)
+		gap := float64(d.values[n-1]-d.values[0]) / float64(n)
+		maxGap := []float64{0, gap * rng.Float64(), gap * (1 + 4*rng.Float64()), math.Inf(1)}[rng.Intn(4)]
+		got := d.coarsenLeastErrorCapped(target, maxGap)
+		want := d.coarsenLeastErrorLazy(target, maxGap)
+		if got.Len() != want.Len() {
+			t.Fatalf("iter %d (mode %d, n %d, target %d, maxGap %g): %d atoms, lazy heap %d",
+				iter, mode, n, target, maxGap, got.Len(), want.Len())
+		}
+		for k := range got.values {
+			if got.values[k] != want.values[k] || math.Float64bits(got.probs[k]) != math.Float64bits(want.probs[k]) {
+				t.Fatalf("iter %d (mode %d, n %d, target %d, maxGap %g): atom %d = (%d, %x), lazy heap (%d, %x)",
+					iter, mode, n, target, maxGap, k, got.values[k], math.Float64bits(got.probs[k]),
+					want.values[k], math.Float64bits(want.probs[k]))
+			}
+		}
+	}
+}

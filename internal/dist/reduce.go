@@ -7,9 +7,9 @@ import (
 )
 
 // siftDownFunc restores the min-heap property of h rooted at root,
-// under the given strict order. One implementation serves every heap
-// in the package — the merge-plan builder and the k-way merge cursors
-// — so their tie-break semantics cannot drift apart.
+// under the given strict order (the merge-plan builder's heap; the
+// k-way merge cursors and the coarsening heap keep their own sift for
+// speed, see mergeKWayRange and mergeHeap).
 func siftDownFunc[T any](h []T, root int, less func(a, b T) bool) {
 	for {
 		child := 2*root + 1

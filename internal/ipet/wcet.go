@@ -159,7 +159,7 @@ type FMMOptions struct {
 // already an always-miss). With the SRB, the set's fetch stream is served
 // by the one-block buffer: each reference costs at most one miss per
 // execution, and none if it is SRB-guaranteed (Section III.B.2).
-// The per-set work (a fixpoint reclassification plus up to W warm ILP
+// The per-set work (up to W O(refs) classifications and warm ILP
 // solves) fans out over a bounded worker pool (FMMOptions.Workers).
 // Every worker owns a clone of the system and restores it to sys's
 // pristine basis before each set, so FMM[s] is a pure function of

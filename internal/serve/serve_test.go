@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -292,8 +293,21 @@ func TestRateLimit(t *testing.T) {
 // TestClientDisconnectDoesNotWedgePool: a client that vanishes
 // mid-stream must not pin the pool — the engine is returned and the
 // next request (same program, MaxEngines=1) completes normally.
+//
+// The first request's writer is a stallWriter, so the handler still has
+// rows left to write when the client disconnects: without it, a fast
+// enough analysis streams all 12 rows before the client walks away and
+// no disconnect is ever seen.
 func TestClientDisconnectDoesNotWedgePool(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Pool: PoolOptions{MaxEngines: 1}})
+	srv := New(Options{Pool: PoolOptions{MaxEngines: 1}})
+	var stalled atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/batch" && stalled.CompareAndSwap(false, true) {
+			w = &stallWriter{ResponseWriter: w, ctx: r.Context()}
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
 	spec := `{"benchmarks":["adpcm"],"pfails":[1e-6,1e-5,1e-4,1e-3],"mechanisms":["none","rw","srb"]}`
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -339,6 +353,29 @@ func TestClientDisconnectDoesNotWedgePool(t *testing.T) {
 		t.Error("client disconnect not counted")
 	}
 }
+
+// stallWriter passes its first write (one NDJSON row) through and holds
+// every later one until the request's context is done, that is until
+// the server has seen the client leave (or 10s pass, so a regression
+// fails instead of hanging).
+type stallWriter struct {
+	http.ResponseWriter
+	ctx   context.Context
+	wrote bool
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	if w.wrote {
+		select {
+		case <-w.ctx.Done():
+		case <-time.After(10 * time.Second):
+		}
+	}
+	w.wrote = true
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *stallWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
 
 // TestPoolEvictionAndReuse: the pool caps resident engines, evicts LRU
 // whole engines, and reuses warm ones.
