@@ -456,3 +456,34 @@ func BenchmarkAnalyzeCombined256(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTailSweepEngine is the deep-tail exploration grid of one
+// program as a single batch on a fresh 256-set engine (crc, 4-way):
+// Permanent{1e-4} plus Combined{1e-4, λ} at three lambdas, for none and
+// srb, each at three targets — 24 queries that share one permanent
+// penalty per mechanism (serial, so it tracks algorithmic cost).
+func BenchmarkTailSweepEngine(b *testing.B) {
+	p := malardalen.MustGet("crc")
+	cfg := pwcet.CacheConfig{Sets: 256, Ways: 4, BlockBytes: 16, HitLatency: 1, MemLatency: 100}
+	scenarios := []pwcet.Scenario{pwcet.Permanent{Pfail: 1e-4}}
+	for _, la := range []float64{1e-12, 1e-10, 1e-9} {
+		scenarios = append(scenarios, pwcet.Combined{Pfail: 1e-4, Lambda: la})
+	}
+	var queries []pwcet.Query
+	for _, scn := range scenarios {
+		for _, m := range []pwcet.Mechanism{pwcet.None, pwcet.SRB} {
+			for _, target := range []float64{1e-9, 1e-12, 1e-15} {
+				queries = append(queries, pwcet.Query{Cache: cfg, Scenario: scn, Mechanism: m, TargetExceedance: target})
+			}
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		eng, err := pwcet.NewEngine(p, pwcet.EngineOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.AnalyzeBatch(queries); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -20,6 +20,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/absint"
@@ -205,7 +206,9 @@ type Result struct {
 	// FMM is the fault miss map (misses, not cycles): FMM[s][f]. nil
 	// for a pure Transient scenario, which has no permanent component.
 	FMM ipet.FMM
-	// PerSet holds each set's penalty distribution in cycles.
+	// PerSet holds each set's penalty distribution in cycles. Sets with
+	// equal FMM rows share one *Dist (entries may alias), which is safe
+	// because a Dist is immutable.
 	PerSet []*dist.Dist
 	// Penalty is the convolution of the per-set distributions: the
 	// distribution of the total fault-induced penalty in cycles.
@@ -364,43 +367,52 @@ func Analyze(p *program.Program, opt Options) (*Result, error) {
 // FMM and the faulty-way probabilities, convolves them (including the
 // data cache's, whose fault population is independent), folds in the
 // transient extra-miss penalty when the scenario has one, and reads the
-// pWCET quantile. workers bounds the convolution tree's parallelism
-// (it may differ from Options.Workers when an Engine batch already
-// fans out at query level); it never changes the result.
+// pWCET quantile. workers bounds the convolution tree's parallelism; it
+// never changes the result.
 //
-// The permanent stage runs exactly the historical code whenever an FMM
-// is present; the transient stage is strictly appended after it, so a
-// permanent-only scenario is byte-identical to the pre-scenario
+// The transient stage is strictly appended after the permanent one, so
+// a permanent-only scenario is byte-identical to the pre-scenario
 // pipeline and Combined(pfail, lambda) convolves the two independent
-// penalty distributions.
+// penalty distributions. An Engine runs the same three steps, with the
+// permanent penalty memoized and a cancellation probe.
 func (r *Result) buildDistributions(workers int) error {
-	return r.buildDistributionsCancel(workers, nil)
-}
-
-// buildDistributionsCancel is buildDistributions with a cancellation
-// probe threaded into the convolution reduction trees (nil disables it
-// at zero cost). The probe is consulted at every merge node; on a
-// non-nil probe error the stage unwinds with that error — partial
-// distributions are discarded, never published on the Result.
-func (r *Result) buildDistributionsCancel(workers int, probe func() error) error {
-	cfg := r.Options.Cache
 	penalty := dist.Degenerate(0)
 	if r.FMM != nil {
 		var err error
-		r.PerSet, penalty, err = convolveFMM(r.FMM, cfg, r.Model, r.Options.Mechanism,
-			penalty, r.Options.MaxSupport, r.Options.Coarsen, workers, r.Options.ExactConvolve, probe)
-		if err != nil {
+		if r.PerSet, err = perSetPenalties(r.FMM, r.Options.Cache, r.Model, r.Options.Mechanism); err != nil {
 			return err
 		}
-		if r.DataFMM != nil {
-			_, penalty, err = convolveFMM(r.DataFMM, *r.Options.DataCache, r.DataModel,
-				r.Options.Mechanism, penalty, r.Options.MaxSupport, r.Options.Coarsen, workers,
-				r.Options.ExactConvolve, probe)
-			if err != nil {
-				return err
-			}
+		if penalty, err = r.permanentPenalty(workers, nil); err != nil {
+			return err
 		}
 	}
+	return r.finishDistributions(penalty, workers, nil)
+}
+
+// permanentPenalty reduces the per-set distributions of r.PerSet and,
+// with a data cache, those of the data FMM, whose fault population is
+// independent, into the permanent penalty distribution. It reads
+// neither the target nor the transient component, so an Engine
+// memoizes its result per (context, mechanism, pfail, cap, strategy).
+func (r *Result) permanentPenalty(workers int, probe func() error) (*dist.Dist, error) {
+	penalty, err := foldReduced(dist.Degenerate(0), r.PerSet, r.Options, workers, probe)
+	if err != nil || r.DataFMM == nil {
+		return penalty, err
+	}
+	dperSet, err := perSetPenalties(r.DataFMM, *r.Options.DataCache, r.DataModel, r.Options.Mechanism)
+	if err != nil {
+		return nil, err
+	}
+	return foldReduced(penalty, dperSet, r.Options, workers, probe)
+}
+
+// finishDistributions runs the per-query stages on top of the permanent
+// penalty: the transient extra-miss fold when the scenario has one, and
+// the pWCET quantile. probe, when non-nil, is the cancellation hook
+// checked at every merge node of the transient reduction; on a probe
+// error the stage unwinds with that error.
+func (r *Result) finishDistributions(penalty *dist.Dist, workers int, probe func() error) error {
+	cfg := r.Options.Cache
 	if r.HitBounds != nil {
 		// The window bound on any access's inter-access distance is a
 		// bound on the whole run's duration: fault-free WCET, plus the
@@ -414,8 +426,7 @@ func (r *Result) buildDistributionsCancel(workers int, probe func() error) error
 			return err
 		}
 		r.Transient = tm
-		penalty, err = convolveTransient(penalty, r.HitBounds, cfg, tm,
-			r.Options.MaxSupport, r.Options.Coarsen, workers, r.Options.ExactConvolve, probe)
+		penalty, err = convolveTransient(penalty, r.HitBounds, cfg, tm, r.Options, workers, probe)
 		if err != nil {
 			return err
 		}
@@ -425,17 +436,12 @@ func (r *Result) buildDistributionsCancel(workers int, probe func() error) error
 	return nil
 }
 
-// convolveFMM convolves one cache's per-set penalty distributions into
-// an accumulator distribution. The per-set distributions are reduced by
-// dist.ConvolveAllWith's parallel pairwise tree (coarsening only the
-// partial products that exceed maxSupport, with the configured
-// strategy) and the result is folded into the accumulator; workers
-// bounds the tree's parallelism. exact selects the retained reference
-// executor instead (Options.ExactConvolve). probe, when non-nil, is the
-// cancellation hook checked at every merge node of the reduction.
-func convolveFMM(fmm ipet.FMM, cfg cache.Config, model fault.Model, mech cache.Mechanism,
-	acc *dist.Dist, maxSupport int, strategy dist.CoarsenStrategy, workers int, exact bool,
-	probe func() error) ([]*dist.Dist, *dist.Dist, error) {
+// perSetPenalties turns each set's FMM row into its penalty
+// distribution in cycles, weighted by the faulty-way probabilities of
+// equation 2, or of equation 3 for the Reliable Way. dist.New runs once
+// per distinct row: sets with equal rows share one *Dist, which is safe
+// because a Dist is immutable.
+func perSetPenalties(fmm ipet.FMM, cfg cache.Config, model fault.Model, mech cache.Mechanism) ([]*dist.Dist, error) {
 	var pwf []float64
 	if mech == cache.MechanismRW {
 		pwf = fault.PWFReliableWay(cfg.Ways, model.PBF) // equation 3
@@ -443,30 +449,48 @@ func convolveFMM(fmm ipet.FMM, cfg cache.Config, model fault.Model, mech cache.M
 		pwf = fault.PWF(cfg.Ways, model.PBF) // equation 2
 	}
 	perSet := make([]*dist.Dist, cfg.Sets)
-	for s := 0; s < cfg.Sets; s++ {
-		pts := make([]dist.Point, 0, len(pwf))
+	byRow := make(map[string]*dist.Dist)
+	pts := make([]dist.Point, len(pwf))
+	var key []byte
+	for s := range perSet {
+		row := fmm[s]
+		key = key[:0]
+		for _, m := range row {
+			key = binary.LittleEndian.AppendUint64(key, uint64(m))
+		}
+		if d, ok := byRow[string(key)]; ok {
+			perSet[s] = d
+			continue
+		}
 		for f, prob := range pwf {
-			pts = append(pts, dist.Point{
-				Value: fmm[s][f] * cfg.MissPenalty(),
-				Prob:  prob,
-			})
+			pts[f] = dist.Point{Value: row[f] * cfg.MissPenalty(), Prob: prob}
 		}
 		d, err := dist.New(pts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: set %d penalty distribution: %w", s, err)
+			return nil, fmt.Errorf("core: set %d penalty distribution: %w", s, err)
 		}
+		byRow[string(key)] = d
 		perSet[s] = d
 	}
+	return perSet, nil
+}
+
+// foldReduced reduces per-set distributions by dist.ConvolveAllWith's
+// parallel pairwise tree (coarsening only the partial products that
+// exceed MaxSupport, with the configured strategy), or by the retained
+// reference executor under Options.ExactConvolve, and folds the total
+// into the accumulator. workers bounds the tree's parallelism; probe,
+// when non-nil, is the cancellation hook checked at every merge node.
+func foldReduced(acc *dist.Dist, perSet []*dist.Dist, o Options, workers int, probe func() error) (*dist.Dist, error) {
 	reduce := dist.ConvolveAllCancelWith
-	if exact {
+	if o.ExactConvolve {
 		reduce = dist.ConvolveAllExactCancelWith
 	}
-	total, err := reduce(perSet, maxSupport, workers, strategy, probe)
+	total, err := reduce(perSet, o.MaxSupport, workers, o.Coarsen, probe)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	acc = acc.Convolve(total).CoarsenToWith(maxSupport, strategy)
-	return perSet, acc, nil
+	return acc.Convolve(total).CoarsenToWith(o.MaxSupport, o.Coarsen), nil
 }
 
 // convolveTransient folds the transient extra-miss penalty into the
@@ -479,10 +503,9 @@ func convolveFMM(fmm ipet.FMM, cfg cache.Config, model fault.Model, mech cache.M
 // Ways+1 atoms, a binomial can carry thousands). A zero PMiss
 // contributes nothing and returns the accumulator unchanged, which is
 // what makes Combined(pfail, lambda=0) byte-identical to
-// Permanent(pfail). probe mirrors convolveFMM's cancellation hook.
+// Permanent(pfail). probe mirrors foldReduced's cancellation hook.
 func convolveTransient(acc *dist.Dist, hb ipet.HitBounds, cfg cache.Config, tm fault.TransientModel,
-	maxSupport int, strategy dist.CoarsenStrategy, workers int, exact bool,
-	probe func() error) (*dist.Dist, error) {
+	o Options, workers int, probe func() error) (*dist.Dist, error) {
 	if tm.PMiss == 0 {
 		return acc, nil
 	}
@@ -496,17 +519,9 @@ func convolveTransient(acc *dist.Dist, hb ipet.HitBounds, cfg cache.Config, tm f
 		if err != nil {
 			return nil, fmt.Errorf("core: set %d transient distribution: %w", s, err)
 		}
-		perSet[s] = d.CoarsenToWith(maxSupport, strategy)
+		perSet[s] = d.CoarsenToWith(o.MaxSupport, o.Coarsen)
 	}
-	reduce := dist.ConvolveAllCancelWith
-	if exact {
-		reduce = dist.ConvolveAllExactCancelWith
-	}
-	total, err := reduce(perSet, maxSupport, workers, strategy, probe)
-	if err != nil {
-		return nil, err
-	}
-	return acc.Convolve(total).CoarsenToWith(maxSupport, strategy), nil
+	return foldReduced(acc, perSet, o, workers, probe)
 }
 
 // PWCETAt returns the pWCET at an arbitrary exceedance probability,

@@ -27,14 +27,22 @@ package core
 //   - per context: the transient hit-bound vector (one ILP solve per
 //     set), shared by every transient and combined scenario — the
 //     bound does not depend on lambda, pfail or mechanism, so a lambda
-//     sweep computes it exactly once.
+//     sweep computes it exactly once;
+//   - per (context, mechanism, pfail, MaxSupport, Coarsen): the
+//     permanent penalty distribution, the convolution of every set's
+//     penalty (equations 2/3) including the data cache's. It does not
+//     depend on the target or on lambda, so Permanent{p} and every
+//     Combined{p, λ} at every target share one reduction. It is a pure
+//     function of its key, so it lives in an engine-level map and is
+//     not evicted with its context.
 //
 // A Query then only performs the cheap per-query work: the fault model
-// of equation 1, the probability weighting of equations 2/3, the
-// penalty convolution, and the quantile read-off. Every artifact is a
-// pure function of its key, so batch scheduling can never change any
-// result; AnalyzeBatch results are byte-identical to independent
-// Analyze calls whatever the worker count or completion order.
+// of equation 1, the per-set distributions (one per distinct FMM row),
+// the transient stage when the scenario has one, and the quantile
+// read-off. Every artifact is a pure function of its key, so batch
+// scheduling can never change any result; AnalyzeBatch results are
+// byte-identical to independent Analyze calls whatever the worker
+// count or completion order.
 
 import (
 	"context"
@@ -70,11 +78,12 @@ type Query struct {
 	// Options.Pfail).
 	Pfail float64
 	// Scenario selects the fault environment (see Options.Scenario).
-	// nil defaults to fault.Permanent{Pfail: Pfail}. Scenario
-	// parameters only shape the per-query probability weighting: the
-	// memoized artifacts they read (classification, WCET, FMM columns,
-	// transient hit bounds) are scenario-independent, so a lambda or
-	// pfail sweep computes each artifact exactly once.
+	// nil defaults to fault.Permanent{Pfail: Pfail}. The memoized
+	// classification, WCET, FMM columns and transient hit bounds are
+	// scenario-independent, so a lambda or pfail sweep computes each
+	// exactly once. pfail is part of the permanent penalty's key;
+	// lambda is part of no key, so a lambda sweep at one pfail shares
+	// one permanent penalty.
 	Scenario fault.Scenario
 	// Mechanism selects the reliability hardware (None, RW, SRB).
 	Mechanism cache.Mechanism
@@ -84,13 +93,12 @@ type Query struct {
 	// MaxSupport caps the convolution support size (default 4096).
 	MaxSupport int
 	// Coarsen selects the coarsening strategy enforcing MaxSupport
-	// (zero value: dist.CoarsenLeastError). The strategy only shapes
-	// the per-query distribution stage, which is never memoized: every
-	// cached artifact (classification, WCET, FMM) is a pure function of
-	// keys the strategy is not part of BECAUSE it cannot influence them
-	// — fault-miss counts are convolution-free. Two queries differing
-	// only in Coarsen therefore share every artifact and still can
-	// never alias each other's distributions or results (asserted by
+	// (zero value: dist.CoarsenLeastError). The strategy shapes only
+	// the distributions: it is part of the permanent penalty's key and
+	// of no other. Classification, WCET and FMM cannot depend on it —
+	// fault-miss counts are convolution-free. Two queries differing only
+	// in Coarsen therefore share those artifacts and still can never
+	// alias each other's distributions or results (asserted by
 	// TestEngineCoarsenStrategyNoAliasing).
 	Coarsen dist.CoarsenStrategy
 	// PreciseSRB enables the refined SRB analysis (mixture bound).
@@ -111,7 +119,9 @@ type Query struct {
 	//
 	// SoftDeadline is not part of any memo key: artifacts computed by a
 	// degraded attempt are the same pure functions of their keys as
-	// always, and the per-query distribution stage is never memoized.
+	// always. Each attempt's permanent penalty is keyed by that
+	// attempt's own MaxSupport, and a fill cut off by the soft deadline
+	// is dropped, never memoized.
 	SoftDeadline time.Duration
 }
 
@@ -171,6 +181,12 @@ const (
 	// scenario of one context — the bound is independent of lambda,
 	// pfail and mechanism.
 	ArtifactTransientBound
+	// ArtifactPenalty is the permanent penalty distribution of one
+	// (context, mechanism, pfail, MaxSupport, Coarsen): the reduction
+	// of every set's penalty, shared by every target and every lambda.
+	// The event's Mechanism field names the mechanism; Data marks a
+	// penalty that includes a data cache's.
+	ArtifactPenalty
 )
 
 // String names the artifact kind for logs and test failures.
@@ -188,6 +204,8 @@ func (a Artifact) String() string {
 		return "fmm-column"
 	case ArtifactTransientBound:
 		return "transient-bound"
+	case ArtifactPenalty:
+		return "penalty"
 	default:
 		return fmt.Sprintf("artifact(%d)", int(a))
 	}
@@ -201,7 +219,8 @@ type ArtifactEvent struct {
 	Cache cache.Config
 	// Data marks artifacts of a data-cache reference stream.
 	Data bool
-	// Mechanism qualifies ArtifactFMMColumn events (None or SRB).
+	// Mechanism qualifies ArtifactFMMColumn events (None or SRB) and
+	// ArtifactPenalty events (any mechanism).
 	Mechanism cache.Mechanism
 	// Precise marks the precise-SRB f = W column.
 	Precise bool
@@ -234,12 +253,13 @@ type EngineOptions struct {
 	ExactConvolve bool
 	// MaxArtifactBytes bounds the estimated resident bytes of the
 	// engine's memoized artifacts (classification fixpoints, warm IPET
-	// contexts, FMM columns). When an artifact computation pushes the
-	// estimate over the budget, least-recently-used artifacts are
-	// evicted and recomputed on next use — eviction is behavior-
-	// invariant (evicted artifacts are pure functions of their keys, so
-	// recomputation is byte-identical; asserted by the eviction tests)
-	// and changes only memory and wall-clock time, never any result.
+	// contexts, FMM columns, transient hit bounds, permanent penalties).
+	// When an artifact computation pushes the estimate over the budget,
+	// least-recently-used artifacts are evicted and recomputed on next
+	// use — eviction is behavior-invariant (evicted artifacts are pure
+	// functions of their keys, so recomputation is byte-identical;
+	// asserted by the eviction tests) and changes only memory and
+	// wall-clock time, never any result.
 	// The pinned working set of one in-flight query is the effective
 	// floor: budgets below it still behave correctly, evicting
 	// everything between queries.
@@ -254,7 +274,9 @@ type EngineOptions struct {
 // Engine is a reusable analysis session for one program. It memoizes
 // every expensive artifact (see the file comment for the layering), so
 // repeated Analyze calls and AnalyzeBatch sweeps that vary only pfail,
-// mechanism or target skip straight to the cheap probability weighting.
+// mechanism or target skip the fixpoints and ILP solves, and sweeps
+// that vary only the target or lambda also skip the permanent
+// reduction.
 //
 // An Engine is safe for concurrent use; all memoized artifacts are pure
 // functions of their keys, so results are byte-identical to independent
@@ -280,9 +302,10 @@ type Engine struct {
 	poisoned atomic.Bool
 	panicVal atomic.Pointer[PanicError]
 
-	mu      sync.Mutex
-	classes map[classKey]*cell[*classEntry]
-	ctxs    map[ctxKey]*cell[*ctxEntry]
+	mu        sync.Mutex
+	classes   map[classKey]*cell[*classEntry]
+	ctxs      map[ctxKey]*cell[*ctxEntry]
+	penalties map[penaltyKey]*cell[*dist.Dist]
 
 	// Artifact-memory accounting (see memory.go), guarded by mu.
 	lruHead, lruTail *memoNode
@@ -358,7 +381,8 @@ type pinKind int
 
 const (
 	// noPin: FMM columns and hit bounds, read by a query that already
-	// pins their context.
+	// pins their context, and permanent penalties, which the query has
+	// read by the time they can be evicted.
 	noPin pinKind = iota
 	// queryPin: a WCET context, held by the query until releaseCtx.
 	queryPin
@@ -451,6 +475,16 @@ type ctxKey struct {
 	hasData bool
 }
 
+// ctxKeyOf builds the context key of an instruction cache and an
+// optional data cache.
+func ctxKeyOf(icfg cache.Config, dcfg *cache.Config) ctxKey {
+	key := ctxKey{icfg: icfg}
+	if dcfg != nil {
+		key.dcfg, key.hasData = *dcfg, true
+	}
+	return key
+}
+
 // ctxEntry is the value of one context cell: the warm system, the WCET
 // and the context's own FMM and hit-bound cells. The fmms and hb slots
 // are guarded by Engine.mu.
@@ -465,6 +499,17 @@ type ctxEntry struct {
 	// hb is the transient hit-bound vector, needed only by transient
 	// and combined queries.
 	hb *cell[ipet.HitBounds]
+}
+
+// penaltyKey identifies one permanent penalty artifact. The engine's
+// ExactConvolve switch is fixed per engine, and the worker count never
+// changes a reduction, so neither is part of the key.
+type penaltyKey struct {
+	ctx        ctxKey
+	mech       cache.Mechanism
+	pfail      float64
+	maxSupport int
+	coarsen    dist.CoarsenStrategy
 }
 
 // fmmKind selects one memoized FMM artifact of a context.
@@ -512,15 +557,16 @@ func NewEngine(p *program.Program, opt EngineOptions) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		p:        p,
-		workers:  opt.Workers,
-		hook:     opt.Hook,
-		ref:      opt.Reference,
-		exact:    opt.ExactConvolve,
-		maxBytes: opt.MaxArtifactBytes,
-		pristine: sys,
-		classes:  make(map[classKey]*cell[*classEntry]),
-		ctxs:     make(map[ctxKey]*cell[*ctxEntry]),
+		p:         p,
+		workers:   opt.Workers,
+		hook:      opt.Hook,
+		ref:       opt.Reference,
+		exact:     opt.ExactConvolve,
+		maxBytes:  opt.MaxArtifactBytes,
+		pristine:  sys,
+		classes:   make(map[classKey]*cell[*classEntry]),
+		ctxs:      make(map[ctxKey]*cell[*ctxEntry]),
+		penalties: make(map[penaltyKey]*cell[*dist.Dist]),
 	}, nil
 }
 
@@ -581,16 +627,12 @@ func (e *Engine) srb(c *cell[*classEntry], data bool) []bool {
 // pinned for the calling query — it cannot be evicted while the
 // analysis uses it. The caller must releaseCtx it (analyze defers
 // this); on error no pin is held.
-func (e *Engine) context(qctx context.Context, icfg cache.Config, dcfg *cache.Config) (*cell[*ctxEntry], error) {
-	key := ctxKey{icfg: icfg}
-	if dcfg != nil {
-		key.dcfg, key.hasData = *dcfg, true
-	}
+func (e *Engine) context(qctx context.Context, key ctxKey) (*cell[*ctxEntry], error) {
 	at := mapSlot(e.ctxs, key)
 	at.release = e.releaseCtxDepsLocked
-	ev := ArtifactEvent{Artifact: ArtifactWCET, Cache: icfg, Data: key.hasData}
+	ev := ArtifactEvent{Artifact: ArtifactWCET, Cache: key.icfg, Data: key.hasData}
 	return memo(e, qctx, at, queryPin, ev, func() (*ctxEntry, int64, error) {
-		ce := &ctxEntry{ic: e.class(icfg, false)} // pins the classification until ctx eviction
+		ce := &ctxEntry{ic: e.class(key.icfg, false)} // pins the classification until ctx eviction
 		if key.hasData {
 			ce.dc = e.class(key.dcfg, true)
 		}
@@ -760,11 +802,33 @@ func (e *Engine) fmmFor(qctx context.Context, ctx *ctxEntry, data bool, mech cac
 	return fmm, nil
 }
 
+// penalty returns the memoized permanent penalty of the result's
+// configuration, reducing the per-set distributions on first use. res
+// must carry everything permanentPenalty reads (PerSet, the data FMM
+// and model, the resolved options), all of them functions of key. A
+// fill cut off by qctx (cancellation or a soft deadline) is dropped by
+// memo's retry path, never memoized.
+func (e *Engine) penalty(qctx context.Context, key penaltyKey, res *Result, workers int, probe func() error) (*dist.Dist, error) {
+	ev := ArtifactEvent{Artifact: ArtifactPenalty, Cache: key.ctx.icfg, Data: key.ctx.hasData, Mechanism: key.mech}
+	pc, err := memo(e, qctx, mapSlot(e.penalties, key), noPin, ev, func() (*dist.Dist, int64, error) {
+		if err := qctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		d, err := res.permanentPenalty(workers, probe)
+		if err != nil {
+			return nil, 0, err
+		}
+		return d, d.MemBytes(), nil
+	})
+	return pc.val, err
+}
+
 // Analyze runs one query against the session, reusing every memoized
-// artifact and computing only the per-query probability weighting,
-// convolution and quantile. The result is byte-identical to a one-shot
-// Analyze call with the same configuration. It is exactly
-// AnalyzeContext under context.Background().
+// artifact and computing only the per-query probability weighting, the
+// transient stage when the scenario has one, and the quantile. The
+// result is byte-identical to a one-shot Analyze call with the same
+// configuration. It is exactly AnalyzeContext under
+// context.Background().
 func (e *Engine) Analyze(q Query) (*Result, error) {
 	return e.AnalyzeContext(context.Background(), q)
 }
@@ -868,7 +932,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	}
 	opt := q.options(e.workers)
 	opt.Reference = e.ref       // echoed in Result.Options like the one-shot path
-	opt.ExactConvolve = e.exact // ditto; buildDistributions reads it off Result.Options
+	opt.ExactConvolve = e.exact // ditto; the reductions read it off Result.Options
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -900,7 +964,8 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 		}
 	}
 
-	cc, err := e.context(qctx, opt.Cache, opt.DataCache)
+	ckey := ctxKeyOf(opt.Cache, opt.DataCache)
+	cc, err := e.context(qctx, ckey)
 	if err != nil {
 		return nil, err
 	}
@@ -948,7 +1013,17 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 		res.DataModel = dmodel
 		res.DataFMM = dfmm
 	}
-	if err := res.buildDistributionsCancel(stageWorkers, probe); err != nil {
+	penalty := dist.Degenerate(0)
+	if fmm != nil {
+		if res.PerSet, err = perSetPenalties(fmm, opt.Cache, model, opt.Mechanism); err != nil {
+			return nil, err
+		}
+		key := penaltyKey{ctx: ckey, mech: opt.Mechanism, pfail: pfail, maxSupport: opt.MaxSupport, coarsen: opt.Coarsen}
+		if penalty, err = e.penalty(qctx, key, res, stageWorkers, probe); err != nil {
+			return nil, err
+		}
+	}
+	if err := res.finishDistributions(penalty, stageWorkers, probe); err != nil {
 		return nil, err
 	}
 	if opt.PreciseSRB && opt.Mechanism == cache.MechanismSRB {

@@ -197,8 +197,11 @@ func (h *countingHook) hook(ev ArtifactEvent) {
 		h.counts = make(map[string]int)
 	}
 	key := fmt.Sprintf("%v/sets=%d,ways=%d/data=%v", ev.Artifact, ev.Cache.Sets, ev.Cache.Ways, ev.Data)
-	if ev.Artifact == ArtifactFMMColumn {
+	switch ev.Artifact {
+	case ArtifactFMMColumn:
 		key += fmt.Sprintf("/mech=%v,precise=%v", ev.Mechanism, ev.Precise)
+	case ArtifactPenalty:
+		key += fmt.Sprintf("/mech=%v", ev.Mechanism)
 	}
 	h.counts[key]++
 }
@@ -215,7 +218,8 @@ func (h *countingHook) snapshot() map[string]int {
 
 // TestEngineMemoizesExpensiveStages asserts, via the counting hook,
 // that a pfail sweep on one engine computes the fixpoints, the WCET and
-// the FMM artifacts exactly once per (cache, mechanism) — while the
+// the FMM artifacts exactly once per (cache, mechanism), and the
+// permanent penalty exactly once per (mechanism, pfail) — while the
 // results stay byte-identical to fresh Analyze calls (the sweep test
 // above). This is the sharing the session API exists for.
 func TestEngineMemoizesExpensiveStages(t *testing.T) {
@@ -244,6 +248,9 @@ func TestEngineMemoizesExpensiveStages(t *testing.T) {
 		"fmm-core/sets=16,ways=4/data=false":                           1,
 		"fmm-column/sets=16,ways=4/data=false/mech=none,precise=false": 1,
 		"fmm-column/sets=16,ways=4/data=false/mech=srb,precise=false":  1,
+		"penalty/sets=16,ways=4/data=false/mech=none":                  len(sweepPfails),
+		"penalty/sets=16,ways=4/data=false/mech=rw":                    len(sweepPfails),
+		"penalty/sets=16,ways=4/data=false/mech=srb":                   len(sweepPfails),
 	}
 	if got := h.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("artifact computation counts:\n got %v\nwant %v", got, want)

@@ -183,7 +183,10 @@ func TestEngineBoundedResidencyAcrossGeometries(t *testing.T) {
 
 // TestEngineMemStatsAccounting sanity-checks the unbounded engine's
 // accounting: resident bytes grow with distinct artifacts, repeated
-// queries hit the memo table, and nothing is ever evicted.
+// queries hit the memo table, and nothing is ever evicted. A query
+// differing only in target reuses every artifact, the permanent
+// penalty included; one with a new pfail adds exactly one artifact, its
+// penalty, at that distribution's estimated cost.
 func TestEngineMemStatsAccounting(t *testing.T) {
 	p := buildLoop(t)
 	e, err := NewEngine(p, EngineOptions{})
@@ -197,17 +200,29 @@ func TestEngineMemStatsAccounting(t *testing.T) {
 	if first.ArtifactBytes <= 0 || first.Artifacts == 0 {
 		t.Fatalf("no resident artifacts after a query: %+v", first)
 	}
-	if _, err := e.Analyze(Query{Pfail: 1e-3, Mechanism: cache.MechanismNone}); err != nil {
+	if _, err := e.Analyze(Query{Pfail: 1e-4, Mechanism: cache.MechanismNone, TargetExceedance: 1e-9}); err != nil {
 		t.Fatal(err)
 	}
 	second := e.MemStats()
-	if second.ArtifactBytes != first.ArtifactBytes {
-		t.Errorf("a same-configuration query changed residency: %d -> %d", first.ArtifactBytes, second.ArtifactBytes)
+	if second.ArtifactBytes != first.ArtifactBytes || second.Artifacts != first.Artifacts {
+		t.Errorf("a query differing only in target changed residency: %d bytes/%d artifacts -> %d/%d",
+			first.ArtifactBytes, first.Artifacts, second.ArtifactBytes, second.Artifacts)
 	}
 	if second.Hits <= first.Hits {
 		t.Errorf("repeated query produced no memo hits: %+v -> %+v", first, second)
 	}
-	if second.Evictions != 0 || second.EvictedBytes != 0 {
-		t.Errorf("unbounded engine evicted: %+v", second)
+	third, err := e.Analyze(Query{Pfail: 1e-3, Mechanism: cache.MechanismNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := e.MemStats()
+	if grew, want := ms.ArtifactBytes-second.ArtifactBytes, third.Penalty.MemBytes(); grew != want {
+		t.Errorf("a new pfail grew residency by %d bytes, want exactly its penalty's %d", grew, want)
+	}
+	if ms.Artifacts != second.Artifacts+1 {
+		t.Errorf("a new pfail left %d artifacts resident, want %d", ms.Artifacts, second.Artifacts+1)
+	}
+	if ms.Evictions != 0 || ms.EvictedBytes != 0 {
+		t.Errorf("unbounded engine evicted: %+v", ms)
 	}
 }

@@ -3,9 +3,10 @@ package core
 // This file implements the Engine's bounded artifact memory
 // (EngineOptions.MaxArtifactBytes). Every memoized artifact class —
 // classification fixpoints, warm IPET contexts, per-context FMM
-// columns — carries an estimated byte cost (the MemBytes estimators of
-// internal/absint, internal/ipet and internal/lp) and an intrusive LRU
-// node. When the estimated resident total exceeds the budget, least-
+// columns and transient hit bounds, permanent penalty distributions —
+// carries an estimated byte cost (the MemBytes estimators of
+// internal/absint, internal/ipet, internal/lp and internal/dist) and an
+// intrusive LRU node. When the estimated resident total exceeds the budget, least-
 // recently-used unpinned artifacts are evicted: removed from their owner
 // so the next query that needs them recomputes them from scratch.
 //
@@ -63,7 +64,7 @@ func (n *memoNode) pin(kind pinKind, d int) {
 type MemStats struct {
 	// ArtifactBytes is the estimated resident bytes of all memoized
 	// artifacts (classification fixpoints, warm IPET contexts, FMM
-	// columns). Estimates come from the MemBytes cost model, not the
+	// columns, transient hit bounds, permanent penalties). Estimates come from the MemBytes cost model, not the
 	// allocator, so treat them as consistent, not byte-exact.
 	ArtifactBytes int64
 	// MaxArtifactBytes echoes the configured budget (<= 0: unbounded).

@@ -7,7 +7,6 @@ import (
 	"repro/internal/absint"
 	"repro/internal/chmc"
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/ipet"
 )
 
@@ -70,18 +69,9 @@ func (r *Result) attachPreciseSRB(fmm ipet.FMM, workers int) error {
 	cfg := r.Options.Cache
 	r.FMMPrecise = fmm
 
-	pwf := fault.PWF(cfg.Ways, r.Model.PBF)
-	perSet := make([]*dist.Dist, cfg.Sets)
-	for s := 0; s < cfg.Sets; s++ {
-		pts := make([]dist.Point, 0, len(pwf))
-		for f, prob := range pwf {
-			pts = append(pts, dist.Point{Value: fmm[s][f] * cfg.MissPenalty(), Prob: prob})
-		}
-		d, err := dist.New(pts)
-		if err != nil {
-			return err
-		}
-		perSet[s] = d
+	perSet, err := perSetPenalties(fmm, cfg, r.Model, r.Options.Mechanism)
+	if err != nil {
+		return err
 	}
 	reduce := dist.ConvolveAllWith
 	if r.Options.ExactConvolve {

@@ -298,6 +298,7 @@ func TestCancelBeforeEachArtifact(t *testing.T) {
 		{"transient-bound", ArtifactWCET, ArtifactTransientBound, transient},
 		{"fmm-column-none", ArtifactFMMCore, ArtifactFMMColumn, Query{Pfail: 1e-4, Mechanism: cache.MechanismNone}},
 		{"fmm-column-srb", ArtifactFMMCore, ArtifactFMMColumn, Query{Pfail: 1e-4, Mechanism: cache.MechanismSRB}},
+		{"penalty", ArtifactFMMColumn, ArtifactPenalty, Query{Pfail: 1e-4, Mechanism: cache.MechanismNone}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -237,7 +237,8 @@ func TestEngineScenarioSweepByteIdentical(t *testing.T) {
 // classification context — a full lambda x mechanism x scenario-kind
 // sweep on one engine computes them exactly once (the counting hook
 // shows one transient-bound event), alongside exactly one WCET and one
-// FMM core.
+// FMM core. The lambda sweep at one pfail shares one permanent penalty
+// per mechanism.
 func TestEngineMemoizesTransientBound(t *testing.T) {
 	p := buildLoop(t)
 	h := &countingHook{}
@@ -263,6 +264,9 @@ func TestEngineMemoizesTransientBound(t *testing.T) {
 		"fmm-core/sets=16,ways=4/data=false":                           1,
 		"fmm-column/sets=16,ways=4/data=false/mech=none,precise=false": 1,
 		"fmm-column/sets=16,ways=4/data=false/mech=srb,precise=false":  1,
+		"penalty/sets=16,ways=4/data=false/mech=none":                  1,
+		"penalty/sets=16,ways=4/data=false/mech=rw":                    1,
+		"penalty/sets=16,ways=4/data=false/mech=srb":                   1,
 	}
 	if got := h.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("artifact computation counts:\n got %v\nwant %v", got, want)

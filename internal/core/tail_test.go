@@ -96,6 +96,11 @@ func TestEngineCoarsenStrategyNoAliasing(t *testing.T) {
 				a, counts[a], want)
 		}
 	}
+	// The strategy is part of the permanent penalty's key only: one
+	// penalty per strategy, and the least-error re-query hits its own.
+	if counts[ArtifactPenalty] != 2 {
+		t.Errorf("penalty computed %d times, want 2 (one per strategy)", counts[ArtifactPenalty])
+	}
 	// The shared FMM is identical; the distributions are not.
 	for s := range le1.FMM {
 		for f := range le1.FMM[s] {

@@ -4,8 +4,8 @@ package dist
 // support sizes the analysis actually folds (the accumulator is capped
 // at core.DefaultMaxSupport = 4096; 1k and 10k bracket it). The
 // "xSet" benchmarks convolve a large accumulator with a 5-atom per-set
-// distribution — the exact shape convolveFMM executes once per cache
-// set — while "xSelf" measures the quadratic worst case.
+// distribution — the shape of one cache set's step in a sequential
+// per-set fold — while "xSelf" measures the quadratic worst case.
 
 import (
 	"fmt"

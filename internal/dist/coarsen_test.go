@@ -134,7 +134,7 @@ func TestCoarsenStrategiesSound(t *testing.T) {
 // tailDists builds FMM-shaped per-set penalty distributions: 5 atoms
 // per set (a 4-way cache's f = 0..4 faulty blocks) weighted by the
 // binomial faulty-way probabilities of equation 2 at pfail = 1e-4 and
-// 128-bit blocks — the exact shape core.convolveFMM feeds the
+// 128-bit blocks — the exact shape core.foldReduced feeds the
 // reduction. Values are fault-induced miss counts (the miss-penalty
 // factor only scales the axis and no quantile ratio); the per-set
 // range of up to ~800 misses matches a large working set mapping many

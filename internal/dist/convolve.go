@@ -11,8 +11,8 @@ import (
 const maxDenseSpan = 1 << 22
 
 // Convolve returns the distribution of the sum of two independent
-// random variables. This is the analysis hot path — convolveFMM folds
-// it once per cache set and ConvolveAll runs it at every tree level —
+// random variables. This is the analysis hot path — ConvolveAll runs
+// it at every level of the per-set penalty reduction tree —
 // so it avoids map churn entirely:
 //
 //   - a degenerate operand turns the convolution into a Shift;

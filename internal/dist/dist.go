@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // MassTolerance is how far the total input mass of New may deviate
@@ -159,6 +160,13 @@ func fromSorted(values []int64, probs []float64) *Dist {
 
 // Len returns the number of support points.
 func (d *Dist) Len() int { return len(d.values) }
+
+// MemBytes estimates the resident bytes of the distribution: the three
+// parallel atom slices (value, probability, complementary CDF; 24 bytes
+// per atom) plus the struct of their headers.
+func (d *Dist) MemBytes() int64 {
+	return int64(unsafe.Sizeof(*d)) + 8*int64(cap(d.values)+cap(d.probs)+cap(d.ccdf))
+}
 
 // Max returns the largest support value.
 func (d *Dist) Max() int64 { return d.values[len(d.values)-1] }

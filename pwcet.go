@@ -246,6 +246,21 @@ type (
 // package documentation.
 var ErrPoisoned = core.ErrPoisoned
 
+// Artifact kinds, the values ArtifactEvent.Artifact takes: the
+// memoized Engine computations EngineOptions.Hook reports.
+const (
+	ArtifactClassification    = core.ArtifactClassification
+	ArtifactSRBClassification = core.ArtifactSRBClassification
+	ArtifactWCET              = core.ArtifactWCET
+	ArtifactFMMCore           = core.ArtifactFMMCore
+	ArtifactFMMColumn         = core.ArtifactFMMColumn
+	ArtifactTransientBound    = core.ArtifactTransientBound
+	// ArtifactPenalty is the permanent penalty distribution of one
+	// (cache context, mechanism, pfail, support cap, strategy), shared
+	// by every target and every transient rate.
+	ArtifactPenalty = core.ArtifactPenalty
+)
+
 // Scenario kinds, the values ScenarioKind takes.
 const (
 	ScenarioPermanent = fault.KindPermanent
