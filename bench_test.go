@@ -256,7 +256,7 @@ func BenchmarkConvolveAllWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				total := dist.ConvolveAll(perSet, core.DefaultMaxSupport, workers)
+				total := dist.ConvolveAllWith(perSet, core.DefaultMaxSupport, workers, dist.CoarsenLeastError)
 				_ = total.QuantileExceedance(1e-15)
 			}
 		})

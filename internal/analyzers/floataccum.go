@@ -9,7 +9,7 @@ import (
 // FloatAccum returns the floataccum analyzer. It flags floating-point
 // compound accumulation (+=, -=, *=, /=) whose evaluation order is
 // nondeterministic — the exact bug class the output-range worker
-// partitioning of dist.ConvolveAll was designed around, since float
+// partitioning of dist.ConvolveAllWith was designed around, since float
 // addition is not associative and a different accumulation order
 // changes the low bits of the result:
 //

@@ -20,9 +20,10 @@ type RefPurityRule struct {
 
 // DefaultRefPurityRules pin the repo's reference/optimized pairs:
 //
-//   - dist.ConvolveAllExactWith (the no-sharing, no-in-tree-coarsening
-//     reduction) must not call the monoid-optimized ConvolveAll[With] or
-//     its executor convolveAllOpt;
+//   - dist.ConvolveAllExactCancelWith (the no-sharing,
+//     no-in-tree-coarsening reduction) must not call the
+//     monoid-optimized ConvolveAll[Cancel]With or its executor
+//     convolveAllOpt[Cancel];
 //   - lp's dense reference loops (referenceIterate, referencePivot)
 //     must not call the sparse iterate/pivot, the tableau compaction or
 //     its dirty-row bookkeeping;
@@ -37,8 +38,8 @@ type RefPurityRule struct {
 var DefaultRefPurityRules = []RefPurityRule{
 	{
 		PkgPath:   "repro/internal/dist",
-		Root:      regexp.MustCompile(`^ConvolveAllExact(CancelWith|With)$`),
-		Forbidden: regexp.MustCompile(`^(ConvolveAll|ConvolveAllWith|ConvolveAllCancelWith|convolveAllOpt|convolveAllOptCancel)$`),
+		Root:      regexp.MustCompile(`^ConvolveAllExactCancelWith$`),
+		Forbidden: regexp.MustCompile(`^(ConvolveAllWith|ConvolveAllCancelWith|convolveAllOpt|convolveAllOptCancel)$`),
 	},
 	{
 		PkgPath:   "repro/internal/lp",

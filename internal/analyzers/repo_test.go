@@ -1,6 +1,9 @@
 package analyzers
 
 import (
+	"go/ast"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,5 +64,40 @@ func TestRepoCleanAndDirectivesLoadBearing(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no //pwcetlint: directives found in the module; expected the reviewed absint annotations")
+	}
+}
+
+// TestRefPurityRulesMatchDeclaredFunctions keeps DefaultRefPurityRules
+// from going vacuous: every Root and every Forbidden pattern must match
+// at least one function declared in its rule's package. A rule whose
+// reference root (or guarded optimized path) was renamed or deleted
+// would otherwise pass the lint silently while checking nothing.
+func TestRefPurityRulesMatchDeclaredFunctions(t *testing.T) {
+	var paths []string
+	for _, r := range DefaultRefPurityRules {
+		paths = append(paths, r.PkgPath)
+	}
+	pkgs, err := Load("../..", paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := make(map[string][]string)
+	for _, pkg := range pkgs {
+		pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					declared[pkg.Path] = append(declared[pkg.Path], funcIdentity(pass, fd))
+				}
+			}
+		}
+	}
+	for _, r := range DefaultRefPurityRules {
+		ids := declared[r.PkgPath]
+		for _, re := range []*regexp.Regexp{r.Root, r.Forbidden} {
+			if !slices.ContainsFunc(ids, re.MatchString) {
+				t.Errorf("refpurity rule for %s: %s matches no function declared there; the rule checks nothing", r.PkgPath, re)
+			}
+		}
 	}
 }

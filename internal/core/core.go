@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/cache"
-	"repro/internal/cfg"
 	"repro/internal/chmc"
 	"repro/internal/dist"
 	"repro/internal/fault"
@@ -94,26 +93,15 @@ type Options struct {
 	// byte-identical for every worker count — parallelism only changes
 	// wall-clock time, never FMM entries, distributions or pWCETs.
 	Workers int
-	// Reference runs the analysis on the retained reference
-	// implementations of the hot paths: the dense uncompacted simplex
-	// (lp.NewReferenceSimplex) and the map-based abstract cache domain
-	// (absint.NewReference), instead of the compacted sparse simplex
-	// and the indexed compact domain. Results are bit-identical either
-	// way — the differential byte-identity suite asserts it on every
-	// stage (WCET, full FMM, penalty distribution, pWCET curve) — so
-	// the flag exists purely to validate the optimized path, at a
-	// substantial slowdown.
-	Reference bool
 	// ExactConvolve routes every penalty reduction through the retained
-	// reference convolution executor (dist.ConvolveAllExactWith): the
-	// same canonical order and merge plan as the optimized monoid
-	// engine, but no subtree sharing and no in-tree coarsening — the
-	// convolution analogue of Reference. Byte-identical to the default
-	// whenever no coarsening binds; when the support cap binds hard
-	// (deeply over-cap configurations arm in-tree coarsening), the
-	// default trades a bounded, documented exceedance-area budget for a
-	// large speedup, and this flag recovers the final-coarsen-only
-	// semantics for differential validation.
+	// reference convolution executor (dist.ConvolveAllExactCancelWith):
+	// the same canonical order and merge plan as the optimized monoid
+	// engine, but no subtree sharing and no in-tree coarsening.
+	// Byte-identical to the default whenever no coarsening binds; when
+	// the support cap binds hard (deeply over-cap configurations arm
+	// in-tree coarsening), the default trades a bounded, documented
+	// exceedance-area budget for a large speedup, and this flag recovers
+	// the final-coarsen-only semantics for differential validation.
 	ExactConvolve bool
 }
 
@@ -130,8 +118,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// validate checks the option fields shared by Analyze and AnalyzeAll,
-// after defaults have been applied.
+// validate checks the option fields of one query after defaults have
+// been applied.
 func (o Options) validate() error {
 	if err := o.Cache.Validate(); err != nil {
 		return err
@@ -221,8 +209,8 @@ type Result struct {
 	// was retried under a tighter MaxSupport cap. Degraded results are
 	// still sound — coarsening is tail-preserving, so the degraded
 	// pWCET upper-bounds the exact one (the dominance tests pin this) —
-	// they are just less tight. Always false for one-shot Analyze and
-	// for queries without a soft deadline.
+	// they are just less tight. Always false for queries without a soft
+	// deadline, so always false for Analyze and AnalyzeAll.
 	Degraded bool
 	// HitRefs, FMRefs, MissRefs count reference classifications.
 	HitRefs, FMRefs, MissRefs int
@@ -244,149 +232,16 @@ type Result struct {
 	DataFMM   ipet.FMM
 }
 
-// Analyze runs the full pWCET analysis of one program.
+// Analyze runs the full pWCET analysis of one program: one query on a
+// throwaway Engine built from opt.Workers and opt.ExactConvolve.
+// Callers analyzing the same program more than once should hold an
+// Engine instead.
 func Analyze(p *program.Program, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	scn, err := opt.scenario()
+	e, err := NewEngine(p, EngineOptions{Workers: opt.Workers, ExactConvolve: opt.ExactConvolve})
 	if err != nil {
 		return nil, err
 	}
-	kind := scn.Kind()
-	pfail, _ := fault.Components(scn)
-	if kind != fault.KindPermanent && (opt.PreciseSRB || opt.DataCache != nil) {
-		return nil, fmt.Errorf("core: %v scenario does not support PreciseSRB or DataCache (permanent only)", kind)
-	}
-	model, err := fault.NewModel(pfail, opt.Cache)
-	if err != nil {
-		return nil, err
-	}
-	// Soundness gate: the loop-bound constraints of IPET are only valid
-	// if the recorded loops are exactly the CFG's natural loops and the
-	// graph is reducible. Verified independently (internal/cfg).
-	if err := cfg.VerifyLoopMetadata(p); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", p.Name, err)
-	}
-	if !cfg.Reducible(p) {
-		return nil, fmt.Errorf("core: %s: irreducible control flow", p.Name)
-	}
-
-	if opt.DataCache != nil && opt.PreciseSRB {
-		return nil, fmt.Errorf("core: PreciseSRB is not supported together with a data cache")
-	}
-
-	newSystem, newAnalyzer, newDataAnalyzer := ipet.NewSystem, absint.New, absint.NewData
-	if opt.Reference {
-		newSystem, newAnalyzer, newDataAnalyzer = ipet.NewReferenceSystem, absint.NewReference, absint.NewDataReference
-	}
-	sys, err := newSystem(p)
-	if err != nil {
-		return nil, err
-	}
-	a := newAnalyzer(p, opt.Cache)
-	base := a.ClassifyAll()
-
-	var da *absint.Analyzer
-	var dbase []chmc.Class
-	var dmodel fault.Model
-	if opt.DataCache != nil {
-		if err := opt.DataCache.Validate(); err != nil {
-			return nil, fmt.Errorf("core: data cache: %w", err)
-		}
-		dmodel, err = fault.NewModel(pfail, *opt.DataCache)
-		if err != nil {
-			return nil, err
-		}
-		da = newDataAnalyzer(p, *opt.DataCache)
-		dbase = da.ClassifyAll()
-	}
-
-	wres, err := ipet.WCETCombined(sys, a, base, da, dbase)
-	if err != nil {
-		return nil, err
-	}
-
-	// A pure Transient scenario has no permanent component: the fault
-	// miss map (per-set misses as a function of permanently faulty
-	// ways) is meaningless for it and is skipped entirely.
-	var fmm ipet.FMM
-	if kind != fault.KindTransient {
-		fopt := ipet.FMMOptions{Mechanism: opt.Mechanism, Workers: opt.Workers}
-		if opt.Mechanism == cache.MechanismSRB {
-			fopt.SRBHit = a.ClassifySRB()
-		}
-		fmm, err = ipet.ComputeFMM(sys, a, base, fopt)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{
-		Program:       p.Name,
-		Options:       opt,
-		Scenario:      scn,
-		Model:         model,
-		FaultFreeWCET: wres.WCET,
-		FMM:           fmm,
-		HitRefs:       wres.HitRefs,
-		FMRefs:        wres.FMRefs,
-		MissRefs:      wres.MissRefs,
-	}
-	if kind != fault.KindPermanent {
-		res.HitBounds, err = ipet.ComputeHitBounds(sys, a, base, ipet.HitBoundOptions{Workers: opt.Workers})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if da != nil {
-		dfopt := ipet.FMMOptions{Mechanism: opt.Mechanism, Workers: opt.Workers}
-		if opt.Mechanism == cache.MechanismSRB {
-			dfopt.SRBHit = da.ClassifySRB()
-		}
-		dfmm, err := ipet.ComputeFMM(sys, da, dbase, dfopt)
-		if err != nil {
-			return nil, err
-		}
-		res.DataModel = dmodel
-		res.DataFMM = dfmm
-	}
-	if err := res.buildDistributions(opt.Workers); err != nil {
-		return nil, err
-	}
-	if opt.PreciseSRB && opt.Mechanism == cache.MechanismSRB {
-		if err := res.buildPreciseSRB(sys, a, base); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// buildDistributions derives the per-set penalty distributions from the
-// FMM and the faulty-way probabilities, convolves them (including the
-// data cache's, whose fault population is independent), folds in the
-// transient extra-miss penalty when the scenario has one, and reads the
-// pWCET quantile. workers bounds the convolution tree's parallelism; it
-// never changes the result.
-//
-// The transient stage is strictly appended after the permanent one, so
-// a permanent-only scenario is byte-identical to the pre-scenario
-// pipeline and Combined(pfail, lambda) convolves the two independent
-// penalty distributions. An Engine runs the same three steps, with the
-// permanent penalty memoized and a cancellation probe.
-func (r *Result) buildDistributions(workers int) error {
-	penalty := dist.Degenerate(0)
-	if r.FMM != nil {
-		var err error
-		if r.PerSet, err = perSetPenalties(r.FMM, r.Options.Cache, r.Model, r.Options.Mechanism); err != nil {
-			return err
-		}
-		if penalty, err = r.permanentPenalty(workers, nil); err != nil {
-			return err
-		}
-	}
-	return r.finishDistributions(penalty, workers, nil)
+	return e.Analyze(queryOf(opt))
 }
 
 // permanentPenalty reduces the per-set distributions of r.PerSet and,
@@ -562,11 +417,7 @@ func AnalyzeAll(p *program.Program, opt Options) (map[cache.Mechanism]*Result, e
 	if opt.PreciseSRB || opt.DataCache != nil {
 		return nil, fmt.Errorf("core: AnalyzeAll does not support PreciseSRB or DataCache; call Analyze per mechanism")
 	}
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	e, err := NewEngine(p, EngineOptions{Workers: opt.Workers, Reference: opt.Reference, ExactConvolve: opt.ExactConvolve})
+	e, err := NewEngine(p, EngineOptions{Workers: opt.Workers, ExactConvolve: opt.ExactConvolve})
 	if err != nil {
 		return nil, err
 	}

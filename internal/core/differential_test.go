@@ -71,10 +71,11 @@ func TestOptimizedPipelineMatchesReference(t *testing.T) {
 			// once; every optimized worker count must reproduce it.
 			p := malardalen.MustGet(tc.bench)
 			opt := Options{Cache: tc.cfg, Pfail: 1e-4, Mechanism: mech}
-			refOpt := opt
-			refOpt.Reference = true
-			refOpt.Workers = 1
-			want, err := Analyze(p, refOpt)
+			ref, err := newEngine(p, EngineOptions{Workers: 1}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Analyze(queryOf(opt))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +109,7 @@ func TestReferenceEngineMatchesOptimizedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewEngine(p, EngineOptions{Workers: 1, Reference: true})
+	ref, err := newEngine(p, EngineOptions{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

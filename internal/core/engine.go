@@ -41,8 +41,8 @@ package core
 // the transient stage when the scenario has one, and the quantile
 // read-off. Every artifact is a pure function of its key, so batch
 // scheduling can never change any result; AnalyzeBatch results are
-// byte-identical to independent Analyze calls whatever the worker
-// count or completion order.
+// byte-identical to the same queries on fresh Engines whatever the
+// worker count or completion order.
 
 import (
 	"context"
@@ -125,7 +125,8 @@ type Query struct {
 	SoftDeadline time.Duration
 }
 
-// options converts the query to the equivalent one-shot Options.
+// options converts the query to the Options it resolves to under the
+// engine's worker bound.
 func (q Query) options(workers int) Options {
 	return Options{
 		Cache:            q.Cache,
@@ -141,7 +142,8 @@ func (q Query) options(workers int) Options {
 	}
 }
 
-// queryOf converts one-shot Options to the equivalent Query.
+// queryOf converts Options to the equivalent Query; Workers and
+// ExactConvolve belong to the Engine.
 func queryOf(o Options) Query {
 	return Query{
 		Cache:            o.Cache,
@@ -240,16 +242,11 @@ type EngineOptions struct {
 	// (memo hits do not fire it). Calls may come from any worker
 	// goroutine; the callback must be safe for concurrent use.
 	Hook func(ArtifactEvent)
-	// Reference builds every artifact on the retained reference
-	// implementations (dense simplex, map-based abstract domain) —
-	// see Options.Reference. Bit-identical results, much slower;
-	// for differential validation only.
-	Reference bool
 	// ExactConvolve routes every query's penalty reduction through the
 	// retained reference convolution executor — see
-	// Options.ExactConvolve. The convolution analogue of Reference:
-	// byte-identical results whenever no coarsening binds, final-
-	// coarsen-only semantics (no in-tree coarsening) when it does.
+	// Options.ExactConvolve: byte-identical results whenever no
+	// coarsening binds, final-coarsen-only semantics (no in-tree
+	// coarsening) when it does.
 	ExactConvolve bool
 	// MaxArtifactBytes bounds the estimated resident bytes of the
 	// engine's memoized artifacts (classification fixpoints, warm IPET
@@ -279,8 +276,8 @@ type EngineOptions struct {
 // reduction.
 //
 // An Engine is safe for concurrent use; all memoized artifacts are pure
-// functions of their keys, so results are byte-identical to independent
-// one-shot Analyze calls with the same Workers setting, in any order.
+// functions of their keys, so results are byte-identical to the same
+// queries on a fresh Engine with the same Workers setting, in any order.
 // By default memoized artifacts are retained for the lifetime of the
 // Engine (unbounded memory); EngineOptions.MaxArtifactBytes bounds the
 // estimated resident total with LRU eviction, trading recomputation for
@@ -532,6 +529,15 @@ const (
 // system and runs simplex phase 1. Everything else is computed lazily
 // and memoized as queries need it.
 func NewEngine(p *program.Program, opt EngineOptions) (*Engine, error) {
+	return newEngine(p, opt, false)
+}
+
+// newEngine is NewEngine with the choice of implementation: reference
+// builds every artifact on the retained reference implementations (the
+// dense simplex of ipet.NewReferenceSystem, the map-based abstract
+// domain of absint.NewReference), which the differential suites pin
+// byte-identical to the optimized ones.
+func newEngine(p *program.Program, opt EngineOptions, reference bool) (*Engine, error) {
 	if opt.Workers < 0 {
 		return nil, fmt.Errorf("core: Workers %d is negative (0 means GOMAXPROCS)", opt.Workers)
 	}
@@ -540,8 +546,8 @@ func NewEngine(p *program.Program, opt EngineOptions) (*Engine, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	// Soundness gate, identical to Analyze: IPET loop-bound constraints
-	// are only valid for verified natural loops on a reducible CFG.
+	// Soundness gate: IPET loop-bound constraints are only valid for
+	// verified natural loops on a reducible CFG.
 	if err := cfg.VerifyLoopMetadata(p); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", p.Name, err)
 	}
@@ -549,7 +555,7 @@ func NewEngine(p *program.Program, opt EngineOptions) (*Engine, error) {
 		return nil, fmt.Errorf("core: %s: irreducible control flow", p.Name)
 	}
 	newSystem := ipet.NewSystem
-	if opt.Reference {
+	if reference {
 		newSystem = ipet.NewReferenceSystem
 	}
 	sys, err := newSystem(p)
@@ -560,7 +566,7 @@ func NewEngine(p *program.Program, opt EngineOptions) (*Engine, error) {
 		p:         p,
 		workers:   opt.Workers,
 		hook:      opt.Hook,
-		ref:       opt.Reference,
+		ref:       reference,
 		exact:     opt.ExactConvolve,
 		maxBytes:  opt.MaxArtifactBytes,
 		pristine:  sys,
@@ -622,9 +628,9 @@ func (e *Engine) srb(c *cell[*classEntry], data bool) []bool {
 }
 
 // context returns the memoized WCET context of the query's cache pair:
-// a private System warmed by exactly the fault-free WCET solve a
-// one-shot Analyze would run, and the WCET result. The returned cell is
-// pinned for the calling query — it cannot be evicted while the
+// a private System cloned from the pristine phase-1 basis and warmed by
+// exactly the fault-free WCET solve, and the WCET result. The returned
+// cell is pinned for the calling query — it cannot be evicted while the
 // analysis uses it. The caller must releaseCtx it (analyze defers
 // this); on error no pin is held.
 func (e *Engine) context(qctx context.Context, key ctxKey) (*cell[*ctxEntry], error) {
@@ -826,9 +832,8 @@ func (e *Engine) penalty(qctx context.Context, key penaltyKey, res *Result, work
 // Analyze runs one query against the session, reusing every memoized
 // artifact and computing only the per-query probability weighting, the
 // transient stage when the scenario has one, and the quantile. The
-// result is byte-identical to a one-shot Analyze call with the same
-// configuration. It is exactly AnalyzeContext under
-// context.Background().
+// result is byte-identical to the same query on a fresh Engine. It is
+// exactly AnalyzeContext under context.Background().
 func (e *Engine) Analyze(q Query) (*Result, error) {
 	return e.AnalyzeContext(context.Background(), q)
 }
@@ -931,8 +936,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 		return nil, err
 	}
 	opt := q.options(e.workers)
-	opt.Reference = e.ref       // echoed in Result.Options like the one-shot path
-	opt.ExactConvolve = e.exact // ditto; the reductions read it off Result.Options
+	opt.ExactConvolve = e.exact // echoed in Result.Options; the reductions read it there
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -976,6 +980,9 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	// it), so even a poisoning query leaves no pinned bytes behind.
 	defer e.releaseCtx(cc)
 	ce := cc.val
+	// A pure Transient scenario has no permanent component: the fault
+	// miss map (per-set misses as a function of permanently faulty
+	// ways) is meaningless for it and is skipped entirely.
 	var fmm ipet.FMM
 	if kind != fault.KindTransient {
 		fmm, err = e.fmmFor(qctx, ce, false, opt.Mechanism, false)
@@ -1031,7 +1038,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 		if err != nil {
 			return nil, err
 		}
-		if err := res.attachPreciseSRB(pfmm, stageWorkers); err != nil {
+		if err := res.attachPreciseSRB(pfmm, stageWorkers, probe); err != nil {
 			return nil, err
 		}
 	}

@@ -71,9 +71,9 @@ func TestEnginePenaltySharedAcrossTargetsAndLambdas(t *testing.T) {
 	}
 }
 
-// TestEnginePenaltyMatchesOneShot compares engine batches with one-shot
-// Analyze by reflect.DeepEqual at Workers 1 and 4, on the default,
-// ExactConvolve and Reference engines, over queries that share
+// TestEnginePenaltyMatchesOneShot compares engine batches with one
+// query per fresh engine by reflect.DeepEqual at Workers 1 and 4, on
+// the default, ExactConvolve and reference engines, over queries that share
 // penalties (targets) and queries whose keys differ only in the data
 // cache, the coarsening strategy or the support cap, with and without
 // the precise SRB stage on top.
@@ -97,17 +97,18 @@ func TestEnginePenaltyMatchesOneShot(t *testing.T) {
 		Query{Pfail: 1e-3, MaxSupport: 4, Coarsen: dist.CoarsenKeepHeaviest},
 	)
 	for _, eo := range []struct {
-		name string
-		opt  EngineOptions
+		name      string
+		opt       EngineOptions
+		reference bool
 	}{
-		{"default", EngineOptions{}},
-		{"exact-convolve", EngineOptions{ExactConvolve: true}},
-		{"reference", EngineOptions{Reference: true}},
+		{"default", EngineOptions{}, false},
+		{"exact-convolve", EngineOptions{ExactConvolve: true}, false},
+		{"reference", EngineOptions{}, true},
 	} {
 		for _, workers := range []int{1, 4} {
 			opt := eo.opt
 			opt.Workers = workers
-			e, err := NewEngine(p, opt)
+			e, err := newEngine(p, opt, eo.reference)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,9 +117,11 @@ func TestEnginePenaltyMatchesOneShot(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, q := range queries {
-				o := q.options(workers)
-				o.Reference, o.ExactConvolve = opt.Reference, opt.ExactConvolve
-				want, err := Analyze(p, o)
+				oneShot, err := newEngine(p, opt, eo.reference)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := oneShot.Analyze(q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/absint"
-	"repro/internal/chmc"
 	"repro/internal/dist"
 	"repro/internal/ipet"
 )
@@ -47,37 +45,22 @@ func probMultiFullSets(pbf float64, sets, ways int) float64 {
 	return 1 - math.Pow(1-q, s) - s*q*math.Pow(1-q, s-1)
 }
 
-// buildPreciseSRB computes the precise FMM and attaches the precise
-// penalty distribution to the result. Must be called after
-// buildDistributions.
-func (r *Result) buildPreciseSRB(sys *ipet.System, a *absint.Analyzer, base []chmc.Class) error {
-	fmm, err := ipet.ComputeFMM(sys, a, base, ipet.FMMOptions{
-		Mechanism:  r.Options.Mechanism,
-		PreciseSRB: true,
-		Workers:    r.Options.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	return r.attachPreciseSRB(fmm, r.Options.Workers)
-}
-
 // attachPreciseSRB derives the precise penalty distribution and the
-// mixture pWCET from an already-computed precise FMM (Engine sessions
-// memoize it across queries). workers bounds the convolution only.
-func (r *Result) attachPreciseSRB(fmm ipet.FMM, workers int) error {
+// mixture pWCET from the precise FMM. workers bounds the reduction;
+// probe is the query's cancellation hook, checked at every merge node
+// like the permanent stage's.
+func (r *Result) attachPreciseSRB(fmm ipet.FMM, workers int, probe func() error) error {
 	cfg := r.Options.Cache
-	r.FMMPrecise = fmm
-
 	perSet, err := perSetPenalties(fmm, cfg, r.Model, r.Options.Mechanism)
 	if err != nil {
 		return err
 	}
-	reduce := dist.ConvolveAllWith
-	if r.Options.ExactConvolve {
-		reduce = dist.ConvolveAllExactWith
+	penalty, err := foldReduced(dist.Degenerate(0), perSet, r.Options, workers, probe)
+	if err != nil {
+		return err
 	}
-	r.PenaltyPrecise = reduce(perSet, r.Options.MaxSupport, workers, r.Options.Coarsen)
+	r.FMMPrecise = fmm
+	r.PenaltyPrecise = penalty
 	r.ProbMultiFullSets = probMultiFullSets(r.Model.PBF, cfg.Sets, cfg.Ways)
 	r.PWCET = r.FaultFreeWCET + r.mixtureQuantile(r.Options.TargetExceedance)
 	return nil

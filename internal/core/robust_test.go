@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/fault"
+	"repro/internal/malardalen"
 )
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -345,5 +347,56 @@ func TestCancelBeforeEachArtifact(t *testing.T) {
 			}
 			requireDeepEqualResult(t, tc.name, want, got)
 		})
+	}
+}
+
+// TestCancelPreciseSRBReduction: a PreciseSRB query whose context dies
+// right after its precise f = W column still has the precise penalty
+// reduction ahead of it. That reduction checks the query's
+// cancellation at every merge node like the permanent one, so the
+// query fails with context.Canceled, strands no pins, and leaves the
+// engine answering the same query byte-identically to a fresh engine.
+func TestCancelPreciseSRBReduction(t *testing.T) {
+	p := malardalen.MustGet("crc")
+	q := Query{
+		Cache:      cache.Config{Sets: 256, Ways: 4, BlockBytes: 16, HitLatency: 1, MemLatency: 100},
+		Pfail:      1e-4,
+		Mechanism:  cache.MechanismSRB,
+		PreciseSRB: true,
+	}
+	for _, workers := range []int{1, 2} {
+		var cancel context.CancelFunc
+		eng, err := NewEngine(p, EngineOptions{Workers: workers, Hook: func(ev ArtifactEvent) {
+			if cancel != nil && ev.Artifact == ArtifactFMMColumn && ev.Precise {
+				cancel()
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, c := context.WithCancel(context.Background())
+		cancel = c
+		_, err = eng.AnalyzeContext(ctx, q)
+		c()
+		cancel = nil
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: query canceled after its precise column = %v, want context.Canceled", workers, err)
+		}
+		if ms := eng.MemStats(); ms.PinnedBytes != 0 || ms.PinnedArtifacts != 0 {
+			t.Fatalf("workers=%d: canceled query left pins behind: %+v", workers, ms)
+		}
+		got, err := eng.Analyze(q)
+		if err != nil {
+			t.Fatalf("workers=%d: live query after cancellation: %v", workers, err)
+		}
+		fresh, err := NewEngine(p, EngineOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Analyze(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireDeepEqualResult(t, fmt.Sprintf("workers=%d", workers), want, got)
 	}
 }

@@ -74,7 +74,7 @@ func BenchmarkConvolve1kxSelf(b *testing.B) {
 
 // benchWideDist builds an n-atom distribution whose values spread far
 // beyond maxDenseSpan, forcing Convolve onto the wide-span k-way-merge
-// path (the shape of the high levels of ConvolveAll's reduction tree).
+// path (the shape of the high levels of ConvolveAllWith's reduction tree).
 func benchWideDist(n int, seed int64) *Dist {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]Point, n)
@@ -95,7 +95,7 @@ func benchWideDist(n int, seed int64) *Dist {
 
 // BenchmarkConvolveWideSpan measures the wide-span convolution path
 // that used to materialize and sort all n·m pairs (the sort-bound
-// stage of high ConvolveAll tree levels) and is now a k-way heap
+// stage of high ConvolveAllWith tree levels) and is now a k-way heap
 // merge.
 func BenchmarkConvolveWideSpan(b *testing.B) {
 	x := benchWideDist(2_000, 14)
@@ -147,24 +147,10 @@ func BenchmarkConvolveDeepTail(b *testing.B) {
 	}
 }
 
-// BenchmarkPow measures the exact square-and-multiply k-fold
-// convolution on the 5-atom per-set shape. k = 64 keeps a full
-// squaring chain (6 squares plus partial-product merges) while the
-// uncoarsened supports stay small enough for a stable multi-iteration
-// measurement; inside ConvolveAll the same chain runs with in-tree
-// coarsening (BenchmarkConvolveAllEqualInputs measures that).
-func BenchmarkPow(b *testing.B) {
-	d := benchSetDist()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = d.Pow(64)
-	}
-}
-
 // BenchmarkConvolveAllEqualInputs is the monoid fast path in
 // isolation: 256 identical per-set distributions, which class
-// detection collapses to a single Pow-style shared subtree (8 unique
-// convolutions) instead of 255.
+// detection collapses to a single exponentiation-by-squaring shared
+// subtree (8 unique convolutions) instead of 255.
 func BenchmarkConvolveAllEqualInputs(b *testing.B) {
 	ds := make([]*Dist, 256)
 	for i := range ds {
@@ -172,7 +158,7 @@ func BenchmarkConvolveAllEqualInputs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		total := ConvolveAll(ds, 4096, 1)
+		total := ConvolveAllWith(ds, 4096, 1, CoarsenLeastError)
 		_ = total.QuantileExceedance(1e-15)
 	}
 }

@@ -246,7 +246,7 @@ func TestCoarsenLeastErrorTailFidelityInTree(t *testing.T) {
 	if st.softSpent > st.softBudget {
 		t.Fatalf("in-tree area spend %g exceeds the budget %g", st.softSpent, st.softBudget)
 	}
-	control := ConvolveAllExactWith(ds, defaultMaxSupport, 4, CoarsenLeastError)
+	control := exactAll(t, ds, defaultMaxSupport, 4, CoarsenLeastError)
 	if !exact.DominatedBy(inTree, 1e-9) {
 		t.Fatal("the armed result does not dominate the exact distribution")
 	}
@@ -307,7 +307,7 @@ func mergeCandLess(a, b mergeCand) bool {
 // eligible only while destination − (smallest value folded into the
 // run) stays within maxGap, so no exceedance quantile — at any
 // probability, however deep in the tail — can inflate by more than
-// maxGap. ConvolveAll's in-tree mode relies on this: its soft passes
+// maxGap. ConvolveAllWith's in-tree mode relies on this: its soft passes
 // pre-thin the operands' tail dust, and on such pre-thinned supports
 // the uncapped greedy engine's cost equilibrium rises until it flings
 // whole near-massless tail bands into the support maximum (exactly the

@@ -11,7 +11,7 @@ import (
 const maxDenseSpan = 1 << 22
 
 // Convolve returns the distribution of the sum of two independent
-// random variables. This is the analysis hot path — ConvolveAll runs
+// random variables. This is the analysis hot path — ConvolveAllWith runs
 // it at every level of the per-set penalty reduction tree —
 // so it avoids map churn entirely:
 //
@@ -24,7 +24,7 @@ const maxDenseSpan = 1 << 22
 //     pairs, products are accumulated into a single preallocated
 //     buffer indexed by grid cell, O(n·m) with no sorting;
 //   - otherwise — wide-span operands, the shape of the high levels of
-//     ConvolveAll's reduction tree — the n sorted per-atom sum streams
+//     ConvolveAllWith's reduction tree — the n sorted per-atom sum streams
 //     are merged through a deterministic k-way heap, O(n·m·log k) with
 //     k = min(n, m) and O(k) extra memory, instead of materializing
 //     and sorting all n·m pairs.
@@ -113,7 +113,7 @@ func denseLimit(pairs int) int {
 // index of the first operand on the dense path, ascending stream index
 // on the k-way path), so the result is byte-identical to Convolve for
 // every worker count and every partitioning — the property
-// ConvolveAll's worker independence rests on (asserted by
+// ConvolveAllWith's worker independence rests on (asserted by
 // TestConvolveWorkersByteIdentical, TestConvolveBandOracle and
 // FuzzConvolveWorkers). Small convolutions, degenerate operands
 // and workers <= 1 run serially. Helper goroutines are drawn from sem
@@ -514,7 +514,7 @@ type streamHead struct {
 // out in order. Used when the value span is too wide for the dense
 // buffer: O(n·m·log k) time and O(k) transient memory replace the old
 // materialize-and-sort path's O(n·m) pair buffer and O(n·m·log(n·m))
-// sort, which made high ConvolveAll tree levels sort-bound.
+// sort, which made high ConvolveAllWith tree levels sort-bound.
 //
 // The heap orders by (sum, stream index), so pops — and with them the
 // per-value accumulation order — are a pure function of the operands:

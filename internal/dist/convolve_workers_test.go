@@ -50,7 +50,7 @@ func bigRandomDist(t *testing.T, rng *rand.Rand, atoms int, stride int64) *Dist 
 // convolution must match the serial Convolve atom for atom, on both
 // the dense path (narrow stride) and the k-way wide-span path (huge
 // stride), for several worker counts. This is the property
-// ConvolveAll's worker independence rests on.
+// ConvolveAllWith's worker independence rests on.
 func TestConvolveWorkersByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	cases := []struct {

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the differential suite pinning the optimized monoid
-// reduction (convolveAllOpt, behind ConvolveAll/ConvolveAllWith) to the
-// retained reference executor (ConvolveAllExactWith):
+// reduction (convolveAllOpt, behind ConvolveAllWith) to the retained
+// reference executor (ConvolveAllExactCancelWith):
 //
 //   - byte identity whenever no coarsening binds, across input shapes
 //     (equal, shifted, distinct, mixed multisets), counts from 1 to 256,
@@ -49,6 +49,16 @@ func assertSameDist(t *testing.T, label string, got, want *Dist) {
 				label, i, p.Value, p.Prob, wp[i].Value, wp[i].Prob)
 		}
 	}
+}
+
+// exactAll runs the reference executor without a cancellation probe.
+func exactAll(t testing.TB, ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy) *Dist {
+	t.Helper()
+	d, err := ConvolveAllExactCancelWith(ds, maxSupport, workers, strategy, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // diffCase is one input multiset plus a cap that must not bind on it.
@@ -128,14 +138,14 @@ func TestConvolveAllByteIdenticalToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range unboundCases(t, rng) {
 		for _, strategy := range []CoarsenStrategy{CoarsenLeastError, CoarsenKeepHeaviest} {
-			want := ConvolveAllExactWith(tc.ds, tc.cap, 1, strategy)
+			want := exactAll(t, tc.ds, tc.cap, 1, strategy)
 			if tc.cap > 0 && want.Len() > tc.cap {
 				t.Fatalf("%s: corpus bug: cap %d binds (exact support %d)", tc.name, tc.cap, want.Len())
 			}
 			for _, workers := range diffWorkers {
 				label := fmt.Sprintf("%s/%v/workers=%d", tc.name, strategy, workers)
 				assertSameDist(t, label+"/opt", ConvolveAllWith(tc.ds, tc.cap, workers, strategy), want)
-				assertSameDist(t, label+"/exact", ConvolveAllExactWith(tc.ds, tc.cap, workers, strategy), want)
+				assertSameDist(t, label+"/exact", exactAll(t, tc.ds, tc.cap, workers, strategy), want)
 			}
 		}
 	}
@@ -157,7 +167,7 @@ func TestConvolveAllBoundedWhenCoarseningBinds(t *testing.T) {
 				if name == "opt" {
 					got = ConvolveAllWith(ds, maxSupport, workers, CoarsenLeastError)
 				} else {
-					got = ConvolveAllExactWith(ds, maxSupport, workers, CoarsenLeastError)
+					got = exactAll(t, ds, maxSupport, workers, CoarsenLeastError)
 				}
 				label := fmt.Sprintf("iter %d/%s/workers=%d", iter, name, workers)
 				if got.Len() > maxSupport {
@@ -214,7 +224,7 @@ func TestConvolveAllInTreeBudgetRespected(t *testing.T) {
 	if rb := reductionBound(canonicalSort(ds)); rb <= inTreeSlack*int64(maxSupport) {
 		t.Fatalf("corpus bug: reductionBound %d does not arm in-tree coarsening at cap %d", rb, maxSupport)
 	}
-	exact := ConvolveAllExactWith(ds, 0, 4, CoarsenLeastError)
+	exact := exactAll(t, ds, 0, 4, CoarsenLeastError)
 	var ref *Dist
 	for _, workers := range diffWorkers {
 		got, st := convolveAllOpt(ds, maxSupport, workers, CoarsenLeastError)
@@ -331,7 +341,7 @@ func FuzzConvolveAllPlan(f *testing.F) {
 		}
 		ref := ConvolveAllWith(ds, maxSupport, 1, CoarsenLeastError)
 		assertSameDist(t, "opt permuted", ConvolveAllWith(shuffled, maxSupport, 2, CoarsenLeastError), ref)
-		refExact := ConvolveAllExactWith(ds, maxSupport, 1, CoarsenLeastError)
-		assertSameDist(t, "exact permuted", ConvolveAllExactWith(shuffled, maxSupport, 2, CoarsenLeastError), refExact)
+		refExact := exactAll(t, ds, maxSupport, 1, CoarsenLeastError)
+		assertSameDist(t, "exact permuted", exactAll(t, shuffled, maxSupport, 2, CoarsenLeastError), refExact)
 	})
 }

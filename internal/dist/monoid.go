@@ -1,4 +1,4 @@
-// Monoid-structured reduction: the optimized ConvolveAll engine.
+// Monoid-structured reduction: the optimized ConvolveAllWith engine.
 //
 // The per-set penalty distributions the FMM stage produces are largely
 // identical or shifted copies of one another (one distribution per
@@ -200,13 +200,13 @@ type canonNode struct {
 	done   chan struct{}
 }
 
-// convolveAllOpt is the optimized ConvolveAll engine. The stats return
-// exists for the differential suite; the distribution is what callers
-// use.
+// convolveAllOpt is the optimized ConvolveAllWith engine. The stats
+// return exists for the differential suite; the distribution is what
+// callers use.
 //
 // Exactness conditions: the result is byte-identical to
-// ConvolveAllExactWith on the same inputs whenever no coarsening binds
-// — i.e. when reductionBound(ds) <= maxSupport, or maxSupport <= 0 —
+// ConvolveAllExactCancelWith on the same inputs whenever no coarsening
+// binds — i.e. when reductionBound(ds) <= maxSupport, or maxSupport <= 0 —
 // because canonical ordering and plan are shared, pure-function subtree
 // sharing is bitwise-neutral, and Shift commutes bitwise with Convolve.
 // When only the final cap binds (reductionBound <=

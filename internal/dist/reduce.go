@@ -27,74 +27,6 @@ func siftDownFunc[T any](h []T, root int, less func(a, b T) bool) {
 	}
 }
 
-// ConvolveAll returns the distribution of the sum of all ds (mutually
-// independent random variables), reducing them by a size-aware binary
-// merge tree instead of a left fold. The merge schedule is built
-// statically, Huffman-style: a min-heap of pending distributions keyed
-// by (estimated support size, arrival order) always pairs the two
-// smallest operands next, so skewed inputs (many degenerate or tiny
-// per-set distributions next to capped 4096-atom partials) never drag
-// a small operand through a chain of large convolutions. For a
-// power-of-two count of equal-size inputs the schedule reproduces the
-// balanced pairwise tree of earlier revisions exactly (the paper's 16-
-// and 256-set geometries); other counts pair the trailing operands
-// earlier than the old level-synchronized tree did, so partial
-// products may associate differently. Each partial product is coarsened
-// to maxSupport support points only when it exceeds the cap (CoarsenTo
-// is the identity below it), so the result carries the same soundness
-// contract as the fold: a pessimistic upper bound on the exceedance
-// curve whenever the cap binds, the exact distribution otherwise.
-// maxSupport <= 0 disables coarsening.
-//
-// workers bounds the goroutines executing merge-tree nodes
-// concurrently; 0 means GOMAXPROCS, 1 is fully sequential. The
-// schedule is a pure function of the input sizes, every node's product
-// is a pure function of its two children, and the worker-split
-// convolution of large nodes partitions the OUTPUT value range — each
-// output atom is accumulated in the same order whatever the partition
-// — so the result is byte-identical for every worker count. Unlike the
-// level-synchronized tree this replaces, dependency-driven execution
-// also overlaps tree levels, and the final wide merges at the top of
-// the tree split across the worker pool instead of serializing it.
-//
-// An empty ds yields Degenerate(0), the neutral element of convolution.
-//
-// # Monoid structure
-//
-// Distributions form a commutative monoid under convolution, and the
-// reduction exploits it three ways. First, the inputs are reordered
-// canonically (by content, not position), so the result is invariant
-// under any permutation of ds. Second, equal and shift-equivalent
-// inputs — the common shape of per-set penalty distributions, one
-// distribution per fault profile replicated across sets — are detected
-// up front by content comparison and shift normalization, and the merge
-// tree is hash-consed: every node is keyed by its (class, class)
-// children, so each distinct subtree convolves once and k equal inputs
-// cost O(log k) convolutions (the shared balanced subtrees ARE the
-// exponentiation-by-squaring of Pow), with one final Shift restoring
-// the accumulated offsets. Shifting commutes bitwise with convolution
-// on every path (identical accumulation orders, identical products), so
-// the sharing cannot change a single bit of the result.
-//
-// Third, when the exact final support provably dwarfs maxSupport, an
-// exceedance-area budget is spread over the merge tree and big operands
-// are pre-coarsened toward maxSupport/4 before convolving (in-tree
-// coarsening, CoarsenLeastError only), keeping intermediate pair counts
-// — and with them the whole reduction — bounded instead of ballooning
-// to maxSupport² per node. See convolveAllOpt for the budget split and
-// the exactness conditions.
-//
-// ConvolveAll coarsens with the default CoarsenLeastError strategy;
-// ConvolveAllWith selects the strategy explicitly. ConvolveAllExactWith
-// is the retained reference reduction — same
-// canonical order and merge plan, no sharing, no in-tree coarsening —
-// byte-identical to the optimized path whenever no coarsening binds
-// (core.Options.ExactConvolve routes the pipeline through it for
-// differential validation).
-func ConvolveAll(ds []*Dist, maxSupport, workers int) *Dist {
-	return ConvolveAllWith(ds, maxSupport, workers, CoarsenLeastError)
-}
-
 // mergeStep is one internal node of the static merge tree: node
 // len(ds)+k convolves nodes l and r.
 type mergeStep struct {
@@ -168,13 +100,76 @@ func buildMergePlan(ds []*Dist, maxSupport int) []mergeStep {
 	return plan
 }
 
-// ConvolveAllWith is ConvolveAll with an explicit coarsening strategy
-// applied to every over-cap partial product (and the final result).
-// The strategy never changes which pairs convolve — the schedule is
+// ConvolveAllWith returns the distribution of the sum of all ds
+// (mutually independent random variables), reducing them by a
+// size-aware binary merge tree instead of a left fold. The merge schedule is built
+// statically, Huffman-style: a min-heap of pending distributions keyed
+// by (estimated support size, arrival order) always pairs the two
+// smallest operands next, so skewed inputs (many degenerate or tiny
+// per-set distributions next to capped 4096-atom partials) never drag
+// a small operand through a chain of large convolutions. For a
+// power-of-two count of equal-size inputs the schedule reproduces the
+// balanced pairwise tree of earlier revisions exactly (the paper's 16-
+// and 256-set geometries); other counts pair the trailing operands
+// earlier than the old level-synchronized tree did, so partial
+// products may associate differently. Each partial product is coarsened
+// to maxSupport support points only when it exceeds the cap (CoarsenTo
+// is the identity below it), so the result carries the same soundness
+// contract as the fold: a pessimistic upper bound on the exceedance
+// curve whenever the cap binds, the exact distribution otherwise.
+// maxSupport <= 0 disables coarsening.
+//
+// workers bounds the goroutines executing merge-tree nodes
+// concurrently; 0 means GOMAXPROCS, 1 is fully sequential. The
+// schedule is a pure function of the input sizes, every node's product
+// is a pure function of its two children, and the worker-split
+// convolution of large nodes partitions the OUTPUT value range — each
+// output atom is accumulated in the same order whatever the partition
+// — so the result is byte-identical for every worker count. Unlike the
+// level-synchronized tree this replaces, dependency-driven execution
+// also overlaps tree levels, and the final wide merges at the top of
+// the tree split across the worker pool instead of serializing it.
+//
+// An empty ds yields Degenerate(0), the neutral element of convolution.
+//
+// # Monoid structure
+//
+// Distributions form a commutative monoid under convolution, and the
+// reduction exploits it three ways. First, the inputs are reordered
+// canonically (by content, not position), so the result is invariant
+// under any permutation of ds. Second, equal and shift-equivalent
+// inputs — the common shape of per-set penalty distributions, one
+// distribution per fault profile replicated across sets — are detected
+// up front by content comparison and shift normalization, and the merge
+// tree is hash-consed: every node is keyed by its (class, class)
+// children, so each distinct subtree convolves once and k equal inputs
+// cost O(log k) convolutions (the shared balanced subtrees ARE the
+// exponentiation by squaring of the k-fold convolution power), with
+// one final Shift restoring the accumulated offsets. Shifting commutes
+// bitwise with convolution on every path (identical accumulation
+// orders, identical products), so the sharing cannot change a single
+// bit of the result.
+//
+// Third, when the exact final support provably dwarfs maxSupport, an
+// exceedance-area budget is spread over the merge tree and big operands
+// are pre-coarsened toward maxSupport/4 before convolving (in-tree
+// coarsening, CoarsenLeastError only), keeping intermediate pair counts
+// — and with them the whole reduction — bounded instead of ballooning
+// to maxSupport² per node. See convolveAllOpt for the budget split and
+// the exactness conditions.
+//
+// The strategy coarsens every over-cap partial product (and the final
+// result). It never changes which pairs convolve — the schedule is
 // keyed on maxSupport and the input sizes only — so the same
 // worker-count independence holds for every strategy. In-tree budget
 // coarsening only ever runs under CoarsenLeastError; the legacy
 // CoarsenKeepHeaviest reduction stays final-coarsen-only.
+//
+// ConvolveAllExactCancelWith is the retained reference reduction —
+// same canonical order and merge plan, no sharing, no in-tree
+// coarsening — byte-identical to this one whenever no coarsening binds
+// (core.Options.ExactConvolve routes the pipeline through it for
+// differential validation).
 func ConvolveAllWith(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy) *Dist {
 	d, _ := convolveAllOpt(ds, maxSupport, workers, strategy)
 	return d
@@ -191,27 +186,17 @@ func ConvolveAllCancelWith(ds []*Dist, maxSupport, workers int, strategy Coarsen
 	return d, err
 }
 
-// ConvolveAllExactWith is the retained reference reduction: the same
-// canonical input order and Huffman merge plan as ConvolveAllWith, but
-// every internal node is computed independently from its two children —
-// no shift-class sharing, no in-tree budget coarsening — exactly the
-// pre-monoid tree. When no coarsening binds anywhere it is
+// ConvolveAllExactCancelWith is the retained reference reduction: the
+// same canonical input order and Huffman merge plan as ConvolveAllWith,
+// but every internal node is computed independently from its two
+// children — no shift-class sharing, no in-tree budget coarsening —
+// exactly the pre-monoid tree. When no coarsening binds anywhere it is
 // byte-identical to ConvolveAllWith (the differential suite pins this);
 // when the cap binds, both remain sound upper bounds that differ only
 // by the documented in-tree area budget. It exists to validate the
 // optimized path and costs O(len(ds)) convolutions regardless of input
-// structure.
-func ConvolveAllExactWith(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy) *Dist {
-	d, err := ConvolveAllExactCancelWith(ds, maxSupport, workers, strategy, nil)
-	if err != nil {
-		panic("dist: ConvolveAllExactWith canceled without a probe: " + err.Error())
-	}
-	return d
-}
-
-// ConvolveAllExactCancelWith is ConvolveAllExactWith with a
-// cancellation probe, under the same contract as ConvolveAllCancelWith:
-// the probe is consulted once per merge node, the first non-nil error
+// structure. Cancellation follows ConvolveAllCancelWith's contract: the
+// probe is consulted once per merge node, the first non-nil error
 // sticks and is returned, every node goroutine finishes before the
 // call returns, and a nil probe costs nothing.
 func ConvolveAllExactCancelWith(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy, probe func() error) (*Dist, error) {

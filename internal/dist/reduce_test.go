@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// foldConvolve is the reference left fold ConvolveAll replaced:
+// foldConvolve is the reference left fold ConvolveAllWith replaced:
 // acc ⊗ d, coarsened after every step.
 func foldConvolve(ds []*Dist, maxSupport int) *Dist {
 	acc := Degenerate(0)
@@ -36,7 +36,7 @@ func TestConvolveAllMatchesFoldExact(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		ds := randomDists(t, rng, 1+rng.Intn(12), 6)
 		const cap = 1 << 20 // never binds on these sizes
-		tree := ConvolveAll(ds, cap, 1+rng.Intn(4))
+		tree := ConvolveAllWith(ds, cap, 1+rng.Intn(4), CoarsenLeastError)
 		fold := foldConvolve(ds, cap)
 		if tree.Len() != fold.Len() {
 			t.Fatalf("support sizes differ: tree %d, fold %d", tree.Len(), fold.Len())
@@ -65,9 +65,9 @@ func TestConvolveAllWorkerCountIrrelevant(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		ds := randomDists(t, rng, 1+rng.Intn(20), 8)
 		maxSupport := 2 + rng.Intn(64)
-		ref := ConvolveAll(ds, maxSupport, 1)
+		ref := ConvolveAllWith(ds, maxSupport, 1, CoarsenLeastError)
 		for _, workers := range []int{0, 2, 3, 7, 16} {
-			got := ConvolveAll(ds, maxSupport, workers)
+			got := ConvolveAllWith(ds, maxSupport, workers, CoarsenLeastError)
 			if got.Len() != ref.Len() {
 				t.Fatalf("workers=%d: support size %d vs %d", workers, got.Len(), ref.Len())
 			}
@@ -90,9 +90,9 @@ func TestConvolveAllSoundWhenCapBinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 60; iter++ {
 		ds := randomDists(t, rng, 2+rng.Intn(10), 5)
-		exact := ConvolveAll(ds, 0, 1) // cap disabled: exact distribution
+		exact := ConvolveAllWith(ds, 0, 1, CoarsenLeastError) // cap disabled: exact distribution
 		maxSupport := 2 + rng.Intn(16)
-		coarse := ConvolveAll(ds, maxSupport, 2)
+		coarse := ConvolveAllWith(ds, maxSupport, 2, CoarsenLeastError)
 		if coarse.Len() > maxSupport {
 			t.Fatalf("support %d exceeds cap %d", coarse.Len(), maxSupport)
 		}
@@ -111,12 +111,12 @@ func TestConvolveAllSoundWhenCapBinds(t *testing.T) {
 // TestConvolveAllEdgeCases: empty input is the neutral element; a
 // single distribution is returned coarsened, like the fold would.
 func TestConvolveAllEdgeCases(t *testing.T) {
-	if d := ConvolveAll(nil, 16, 4); d.Len() != 1 || d.Max() != 0 {
+	if d := ConvolveAllWith(nil, 16, 4, CoarsenLeastError); d.Len() != 1 || d.Max() != 0 {
 		t.Fatalf("empty reduction = %v, want Degenerate(0)", d.Points())
 	}
 	rng := rand.New(rand.NewSource(14))
 	d := randomDist(t, rng, 40)
-	got := ConvolveAll([]*Dist{d}, 8, 4)
+	got := ConvolveAllWith([]*Dist{d}, 8, 4, CoarsenLeastError)
 	want := d.CoarsenTo(8)
 	if got.Len() != want.Len() {
 		t.Fatalf("single-dist reduction has %d atoms, want %d", got.Len(), want.Len())
@@ -163,14 +163,14 @@ func FuzzConvolveAll(f *testing.F) {
 		if len(ds) == 0 || len(ds) > 24 {
 			return
 		}
-		got := ConvolveAll(ds, maxSupport, workers)
+		got := ConvolveAllWith(ds, maxSupport, workers, CoarsenLeastError)
 		if got.Len() > maxSupport {
 			t.Fatalf("support %d exceeds cap %d", got.Len(), maxSupport)
 		}
 		if m := got.Mass(); math.Abs(m-1) > 1e-9 {
 			t.Fatalf("mass drifted to %g", m)
 		}
-		ref := ConvolveAll(ds, maxSupport, 1)
+		ref := ConvolveAllWith(ds, maxSupport, 1, CoarsenLeastError)
 		if got.Len() != ref.Len() {
 			t.Fatalf("workers=%d changed support size: %d vs %d", workers, got.Len(), ref.Len())
 		}
@@ -180,7 +180,7 @@ func FuzzConvolveAll(f *testing.F) {
 				t.Fatalf("workers=%d changed atom %d: %+v vs %+v", workers, i, p, rp[i])
 			}
 		}
-		exact := ConvolveAll(ds, 0, 2)
+		exact := ConvolveAllWith(ds, 0, 2, CoarsenLeastError)
 		if !exact.DominatedBy(got, 1e-9) {
 			t.Fatal("reduction result does not dominate the exact distribution")
 		}

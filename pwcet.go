@@ -34,8 +34,8 @@
 // Engine.AnalyzeBatch evaluates many queries at once over a worker
 // pool with shared-work deduplication;
 // Engine.AnalyzeBatchStreamContext streams indexed results as they
-// complete. For a single configuration, the one-shot Analyze and
-// AnalyzeAll helpers wrap a throwaway Engine.
+// complete. Analyze and AnalyzeAll run one configuration on a
+// throwaway Engine.
 //
 // The paper's 25-benchmark Mälardalen evaluation is available through
 // Benchmarks and Benchmark; cmd/paperfigs regenerates every figure and
@@ -89,14 +89,11 @@
 // FMM entry, distribution atom, or pWCET. Parallelism changes
 // wall-clock time, never results.
 //
-// The optimized hot paths keep differential escape hatches:
-// Options.Reference re-runs an analysis on the retained dense
-// simplex and map-based abstract domain, and Options.ExactConvolve
-// routes the penalty reduction through the exact convolution fold
-// (no shared-subtree reuse, no in-tree coarsening) — both exist to
-// validate the fast paths, which the differential suites pin
-// byte-identical (exactly, or whenever the support cap does not
-// bind, respectively).
+// Options.ExactConvolve / EngineOptions.ExactConvolve route the
+// penalty reduction through the retained exact convolution fold (no
+// shared-subtree reuse, no in-tree coarsening), which is
+// byte-identical to the default whenever the support cap does not
+// bind and keeps final-coarsen-only semantics when it does.
 //
 // # Bounded memory and serving
 //
@@ -169,7 +166,7 @@ type (
 	// Engine is a reusable analysis session for one program: it
 	// memoizes the program- and cache-level artifacts so repeated
 	// queries only pay for the cheap probability weighting. Safe for
-	// concurrent use; results are byte-identical to one-shot Analyze.
+	// concurrent use; results are byte-identical to a fresh Engine's.
 	Engine = core.Engine
 	// EngineOptions configures an Engine (worker pool, artifact memory
 	// budget, instrumentation hook).
@@ -343,27 +340,7 @@ func NewEngine(p *Program, opt EngineOptions) (*Engine, error) {
 // Analyze runs the pWCET analysis of a program under the given options.
 // It is a thin wrapper over a throwaway Engine; callers analyzing the
 // same program more than once should hold an Engine instead.
-func Analyze(p *Program, opt Options) (*Result, error) {
-	e, err := core.NewEngine(p, EngineOptions{
-		Workers:       opt.Workers,
-		Reference:     opt.Reference,
-		ExactConvolve: opt.ExactConvolve,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e.Analyze(core.Query{
-		Cache:            opt.Cache,
-		Pfail:            opt.Pfail,
-		Scenario:         opt.Scenario,
-		Mechanism:        opt.Mechanism,
-		TargetExceedance: opt.TargetExceedance,
-		MaxSupport:       opt.MaxSupport,
-		Coarsen:          opt.Coarsen,
-		PreciseSRB:       opt.PreciseSRB,
-		DataCache:        opt.DataCache,
-	})
-}
+func Analyze(p *Program, opt Options) (*Result, error) { return core.Analyze(p, opt) }
 
 // AnalyzeAll analyzes a program under all three architectures (none, RW,
 // SRB) with otherwise identical options, as one shared-work Engine
